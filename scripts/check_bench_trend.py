@@ -199,17 +199,15 @@ GATED: dict[str, FileSpec] = {
     ),
     "BENCH_rpc.json": FileSpec(
         metrics=(
-            # Storage wire round trips per committed txn, JSON-unbatched
-            # over binary-batched.  A pure frame-count ratio, so it is
-            # scale-robust; the floor IS the PR's acceptance criterion
-            # (batching must at least halve the round trips).
-            Metric("round_trip_improvement", HIGHER, 0.30, floor=2.0),
-            # Codec wall-clock ratio on a payload-heavy batch frame: a
-            # same-machine ratio (noisy on shared runners), the floor says
-            # the binary codec must clearly beat JSON+base64.
-            Metric("codec.codec_speedup", HIGHER, 0.50, floor=1.5),
-            # Frame-size ratio is deterministic (base64 inflation removed).
-            Metric("codec.frame_size_ratio", HIGHER, 0.10, floor=1.2),
+            # Storage ops carried per storage_batch frame: against a
+            # one-op-per-frame wire this is the round-trip saving.  A pure
+            # count ratio, so it is scale-robust; the floor says batching
+            # must at least halve the round trips.
+            Metric("after.ops_per_storage_frame", HIGHER, 0.30, floor=2.0),
+            # Frame bytes per payload byte on a payload-heavy batch frame.
+            # Deterministic; the ceiling keeps bulk bytes travelling raw
+            # (base64 alone would cost 1.33).
+            Metric("codec.binary_bytes_per_payload_byte", LOWER, 0.02, ceiling=1.05),
         ),
         scale_marker="fast_mode",
     ),

@@ -1,65 +1,35 @@
-"""Versioned wire schemas for the distributed runtime.
+"""Wire schemas for the distributed runtime.
 
-Every payload crossing a socket is a dataclass here, serialised to a plain
-JSON object by :func:`encode_body` and reconstructed by :func:`decode_body`.
-Two compatibility rules make node/router binaries from adjacent versions
-interoperate:
+Every payload crossing a socket is a dataclass here; :func:`encode_body`
+turns it into a plain body object and :func:`decode_body` reconstructs it.
+Two schema rules let a message gain fields without breaking its readers:
 
-* **Unknown fields are ignored on decode.**  A newer peer may add fields;
-  an older peer simply drops them (``from_body`` filters the body against
-  its declared dataclass fields).
-* **New fields must carry defaults.**  An older peer's message omits them;
-  the dataclass default fills the gap.
+* **Unknown fields are ignored on decode** (``from_body`` filters the body
+  against its declared dataclass fields), so a sender may add optional
+  fields such as the causal ``trace`` context.
+* **Every field carries a default**, so a body that omits a field still
+  decodes.
 
-Messages carry a schema ``VERSION`` (bumped only on *incompatible* change —
-a removed or re-typed field); the frame envelope transports it alongside the
-``type`` tag, and a peer receiving a message whose major version it does not
-know rejects the frame rather than mis-parsing it.
+An unknown message *type* is rejected: that is a different protocol, not a
+newer schema.
 
 **Bulk bytes are first-class.**  Fields holding storage payloads or
 serialised commit records (declared per message via ``BYTES_MAP_FIELDS`` /
-``BYTES_LIST_FIELDS``) carry raw ``bytes`` in memory.  How they cross the
-wire depends on the negotiated frame format (:mod:`repro.rpc.framing`):
-
-* the legacy **JSON** wire base64-encodes them in place
-  (:func:`body_to_jsonable` / :func:`body_from_jsonable`) — ~33% size
-  inflation plus encode cost, kept for compatibility with old peers;
-* the **binary** wire moves them into a raw payload section after the JSON
-  header, replaced in the header by compact ``[offset, length]`` references
-  (:func:`split_bulk` / :func:`join_bulk`) — no base64, no JSON string
-  escaping, and decode slices straight out of the frame buffer.
+``BYTES_LIST_FIELDS``) carry raw ``bytes`` in memory and on the wire: the
+frame codec (:mod:`repro.rpc.framing`) moves them into a raw payload section
+after the JSON header, replaced in the header by compact ``[offset, length]``
+references (:func:`split_bulk` / :func:`join_bulk`) — no base64, no JSON
+string escaping, and decode slices straight out of the frame buffer.
 """
 
 from __future__ import annotations
 
-import base64
 from dataclasses import dataclass, field, fields
 from typing import Any, ClassVar, Mapping
 
 from repro import errors
 from repro.core.commit_set import CommitRecord
 from repro.storage.base import StorageOp, StorageOpResult
-
-#: Protocol-level version of the frame envelope itself.
-WIRE_VERSION = 1
-
-
-def b64encode(value: bytes) -> str:
-    return base64.b64encode(value).decode("ascii")
-
-
-def b64decode(value: str) -> bytes:
-    return base64.b64decode(value.encode("ascii"))
-
-
-def _jsonable_values(values: Mapping[str, bytes | None]) -> dict[str, str | None]:
-    """Base64 a key->bytes-or-missing mapping for the JSON wire."""
-    return {key: (b64encode(v) if v is not None else None) for key, v in values.items()}
-
-
-def _values_from_jsonable(values: Mapping[str, str | None]) -> dict[str, bytes | None]:
-    return {key: (b64decode(v) if v is not None else None) for key, v in values.items()}
-
 
 def encode_records(records: list[CommitRecord]) -> list[bytes]:
     """Commit records as their existing binary codec (raw bytes on the wire)."""
@@ -72,15 +42,12 @@ def decode_records(blobs: list[bytes]) -> list[CommitRecord]:
 
 @dataclass
 class WireMessage:
-    """Base class: a typed, versioned JSON-object payload."""
+    """Base class: a typed payload with a JSON header and raw bulk bytes."""
 
     #: Wire tag, unique across the protocol (set by every subclass).
     TYPE: ClassVar[str] = ""
-    #: Schema version of this message type.
-    VERSION: ClassVar[int] = 1
-    #: Fields holding ``dict[str, bytes | None]`` payload maps.  These are the
-    #: frame's *bulk section*: base64 on the JSON wire, raw payload bytes on
-    #: the binary wire.
+    #: Fields holding ``dict[str, bytes | None]`` payload maps.  These travel
+    #: in the frame's raw payload section.
     BYTES_MAP_FIELDS: ClassVar[tuple[str, ...]] = ()
     #: Fields holding ``list[bytes]`` blob sequences (same bulk treatment).
     BYTES_LIST_FIELDS: ClassVar[tuple[str, ...]] = ()
@@ -93,9 +60,8 @@ class WireMessage:
     def from_body(cls, body: Mapping[str, Any]) -> "WireMessage":
         """Reconstruct from a body object, ignoring unknown fields.
 
-        The filter is the forward-compatibility contract: bodies produced by
-        a newer schema simply lose their extra fields here instead of
-        crashing the older binary.
+        The filter is the schema-evolution contract: fields this schema does
+        not declare are dropped here instead of crashing the decode.
         """
         known = {f.name for f in fields(cls)}
         return cls(**{key: value for key, value in body.items() if key in known})
@@ -106,27 +72,16 @@ class WireMessage:
 # --------------------------------------------------------------------- #
 @dataclass
 class Hello(WireMessage):
-    """Peer registration. ``kind`` is ``"node"``, ``"standby"``, or ``"client"``.
-
-    ``wire_formats`` advertises the frame formats this peer can *decode*
-    (always including ``"json"``).  An old peer omits the field — the default
-    — and therefore never gets a binary frame; an old *receiver* drops the
-    unknown field and replies without ``wire_format``, which pins the
-    connection to JSON.  Negotiation costs nothing beyond the fields.
-    """
+    """Node registration. ``kind`` is ``"node"`` or ``"standby"``."""
 
     TYPE: ClassVar[str] = "hello"
     node_id: str = ""
     kind: str = "node"
-    wire_formats: list = field(default_factory=lambda: ["json"])
 
 
 @dataclass
 class HelloAck(WireMessage):
-    """Router's admission reply: fencing token epoch, lease cadence, and the
-    negotiated wire capabilities (``wire_format`` both peers will send;
-    ``features`` the optional protocol extensions the router serves, e.g.
-    ``"storage_batch"``)."""
+    """Router's admission reply: fencing token epoch and lease cadence."""
 
     TYPE: ClassVar[str] = "hello_ack"
     node_id: str = ""
@@ -135,8 +90,6 @@ class HelloAck(WireMessage):
     epoch: int = 0
     lease_duration: float = 5.0
     heartbeat_interval: float = 1.0
-    wire_format: str = "json"
-    features: list = field(default_factory=list)
 
 
 @dataclass
@@ -192,44 +145,13 @@ class DeliverCommits(WireMessage):
 # Storage service (node -> router)
 # --------------------------------------------------------------------- #
 @dataclass
-class StorageRequest(WireMessage):
-    """One storage-engine operation against the router's shared store.
-
-    ``op`` is one of ``get`` / ``put`` / ``delete`` / ``multi_get`` /
-    ``multi_put`` / ``multi_delete`` / ``list_keys``.  ``keys`` carries the
-    read/delete targets, ``items`` the writes (raw bytes), ``prefix``
-    the listing prefix.
-    """
-
-    TYPE: ClassVar[str] = "storage"
-    BYTES_MAP_FIELDS: ClassVar[tuple[str, ...]] = ("items",)
-    op: str = "get"
-    keys: list = field(default_factory=list)
-    items: dict = field(default_factory=dict)
-    prefix: str = ""
-    #: Optional causal-trace context ("trace_id:parent_span_id").
-    #: Old peers drop the unknown field on decode; empty means untraced.
-    trace: str = ""
-
-
-@dataclass
-class StorageResponse(WireMessage):
-    """Result of a :class:`StorageRequest` (raw values, misses None)."""
-
-    TYPE: ClassVar[str] = "storage_result"
-    BYTES_MAP_FIELDS: ClassVar[tuple[str, ...]] = ("values",)
-    values: dict = field(default_factory=dict)
-    keys: list = field(default_factory=list)
-
-
-@dataclass
 class StorageBatch(WireMessage):
     """A whole group of storage ops in one frame (one round trip).
 
     ``ops`` is a list of compact descriptors ``{"op", "keys", "prefix",
     "v"}`` where ``v`` holds per-key indexes into the shared ``blobs``
     table for write values.  The flat blob table is what lets the batch ride
-    the binary wire's bulk section untouched; build/parse through
+    the frame's raw payload section untouched; build/parse through
     :func:`encode_storage_ops` / :func:`decode_storage_ops`.
     """
 
@@ -248,7 +170,7 @@ class StorageBatchResult(WireMessage):
 
     Each entry of ``results`` mirrors its request op: ``{"keys", "v"}`` for
     value-returning ops (``v`` indexes into ``blobs``, ``None`` marks a
-    miss), ``{"listing"}`` for ``list_keys``, ``{"error"}`` for an op that
+    miss), ``{"listing"}`` for ``list``, ``{"error"}`` for an op that
     failed — errors are *per op*, so one fenced commit-record write in a
     coalesced batch fails only its own waiter.
     """
@@ -405,8 +327,8 @@ class InfoReply(WireMessage):
     epoch: int = 0
     commits: int = 0
     #: Per-connection wire counters, node_id -> {frames_in, frames_out,
-    #: bytes_in, bytes_out, batched_ops_in, batched_ops_out, drains,
-    #: wire_format} — the router's view of each peer's protocol traffic.
+    #: bytes_in, bytes_out, batched_ops_in, batched_ops_out} — the router's
+    #: view of each peer's protocol traffic.
     wire: dict = field(default_factory=dict)
     #: The router's metrics-registry snapshot (counters/gauges/histograms
     #: from :mod:`repro.observability.metrics`) — the over-the-wire scrape.
@@ -454,8 +376,6 @@ MESSAGE_TYPES: dict[str, type[WireMessage]] = {
         Ok,
         PublishCommits,
         DeliverCommits,
-        StorageRequest,
-        StorageResponse,
         StorageBatch,
         StorageBatchResult,
         ClientStart,
@@ -478,27 +398,25 @@ MESSAGE_TYPES: dict[str, type[WireMessage]] = {
 }
 
 
-def encode_body(message: WireMessage) -> tuple[str, int, dict[str, Any]]:
-    """Return the ``(type, version, body)`` triple the frame envelope carries."""
-    return message.TYPE, message.VERSION, message.to_body()
+def encode_body(message: WireMessage) -> tuple[str, dict[str, Any]]:
+    """Return the ``(type, body)`` pair the frame envelope carries."""
+    return message.TYPE, message.to_body()
 
 
-def decode_body(msg_type: str, version: int, body: Mapping[str, Any]) -> WireMessage:
-    """Reconstruct a message, tolerating unknown fields and newer minor schemas.
+def decode_body(msg_type: str, body: Mapping[str, Any]) -> WireMessage:
+    """Reconstruct a message, tolerating unknown fields.
 
     An unknown *type* raises — the peer speaks a protocol we do not — but an
-    unknown *field* within a known type is silently dropped, which is what
-    lets adjacent versions interoperate.
+    unknown *field* within a known type is silently dropped.
     """
     cls = MESSAGE_TYPES.get(msg_type)
     if cls is None:
         raise errors.AftError(f"unknown wire message type {msg_type!r}")
-    del version  # schema versions are additive today; kept in the envelope
     return cls.from_body(body)
 
 
 # --------------------------------------------------------------------- #
-# Bulk-field conversions (used by the frame codecs in repro.rpc.framing)
+# Bulk-field conversions (used by the frame codec in repro.rpc.framing)
 # --------------------------------------------------------------------- #
 def _bulk_spec(msg_type: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
     cls = MESSAGE_TYPES.get(msg_type)
@@ -507,40 +425,10 @@ def _bulk_spec(msg_type: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
     return cls.BYTES_MAP_FIELDS, cls.BYTES_LIST_FIELDS
 
 
-def body_to_jsonable(msg_type: str, body: Mapping[str, Any]) -> dict[str, Any]:
-    """JSON-wire view of a body: bulk bytes become base64 strings in place."""
-    map_fields, list_fields = _bulk_spec(msg_type)
-    if not map_fields and not list_fields:
-        return dict(body)
-    out = dict(body)
-    for name in map_fields:
-        if name in out:
-            out[name] = _jsonable_values(out[name])
-    for name in list_fields:
-        if name in out:
-            out[name] = [b64encode(bytes(blob)) for blob in out[name]]
-    return out
-
-
-def body_from_jsonable(msg_type: str, body: Mapping[str, Any]) -> dict[str, Any]:
-    """Inverse of :func:`body_to_jsonable` (unknown types pass through)."""
-    map_fields, list_fields = _bulk_spec(msg_type)
-    if not map_fields and not list_fields:
-        return dict(body)
-    out = dict(body)
-    for name in map_fields:
-        if name in out:
-            out[name] = _values_from_jsonable(out[name])
-    for name in list_fields:
-        if name in out:
-            out[name] = [b64decode(blob) for blob in out[name]]
-    return out
-
-
 def split_bulk(
     msg_type: str, body: Mapping[str, Any]
 ) -> tuple[dict[str, Any], list[bytes], int]:
-    """Binary-wire split: bulk bytes move to a payload section.
+    """Frame split: bulk bytes move to the raw payload section.
 
     Returns ``(header_body, chunks, payload_size)`` where bulk fields in
     ``header_body`` are replaced by ``[offset, length]`` references (``None``
@@ -579,7 +467,10 @@ def join_bulk(
 
     def deref(entry: list[int]) -> bytes:
         start, length = entry
-        return bytes(payload[start : start + length])
+        blob = bytes(payload[start : start + length])
+        if len(blob) != length:
+            raise ValueError(f"bulk reference {entry} overruns the {len(payload)}-byte payload")
+        return blob
 
     for name in map_fields:
         if name in body:

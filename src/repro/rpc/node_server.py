@@ -20,13 +20,16 @@ A ``--kind standby`` process registers without a fencing token and idles
 until the router's ``activate`` promotes it (fresh epoch, then bootstrap
 from the Transaction Commit Set).
 
-Run it: ``repro-node --node-id n0 --router-port 7400``.
+Run it: ``repro-node --node-id n0 --router-port 7400``.  SIGTERM or SIGINT
+stops it cleanly (the observability sink flushes once more) with exit
+status 0; so does losing the router connection.
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
+import signal
 import sys
 
 from repro.config import AftConfig
@@ -38,14 +41,7 @@ from repro.observability import metrics as om
 from repro.observability import trace as tr
 from repro.observability.sink import ObservabilitySink
 from repro.rpc import messages as m
-from repro.rpc.framing import (
-    FORMAT_BINARY,
-    FORMAT_JSON,
-    SUPPORTED_WIRE_FORMATS,
-    RpcConnection,
-    connect,
-)
-from repro.rpc.router import STORAGE_BATCH_FEATURE
+from repro.rpc.framing import RpcConnection, connect
 from repro.rpc.storage_client import RemoteStorage
 
 #: How often drained commits are published to the router's commit hub.
@@ -62,8 +58,6 @@ class NodeServer:
         router_port: int = 7400,
         kind: str = "node",
         config: AftConfig | None = None,
-        wire_formats: tuple[str, ...] = SUPPORTED_WIRE_FORMATS,
-        enable_storage_batching: bool = True,
         coalesce_window: float = 0.0,
     ) -> None:
         if kind not in ("node", "standby"):
@@ -73,9 +67,6 @@ class NodeServer:
         self.router_port = router_port
         self.kind = kind
         self.config = config if config is not None else AftConfig()
-        #: Formats this node offers in its ``hello`` (the router picks).
-        self.wire_formats = tuple(wire_formats)
-        self.enable_storage_batching = enable_storage_batching
         self.coalesce_window = coalesce_window
 
         tr.apply_config(self.config.observability)
@@ -89,7 +80,9 @@ class NodeServer:
         #: Nemesis switch: heartbeats stop, everything else keeps running.
         self.heartbeats_paused = False
         self._serving = asyncio.Event()
-        self._closed = asyncio.Event()
+        #: Set when the process should stop: the router connection dropped,
+        #: or a stop signal arrived (see :func:`main`).
+        self.stop_requested = asyncio.Event()
         self._tasks: list[asyncio.Task] = []
 
     # ------------------------------------------------------------------ #
@@ -102,34 +95,22 @@ class NodeServer:
             handler=self._handle,
             name=f"node-{self.node_id}",
         )
-        self.conn.on_close = lambda _conn: self._closed.set()
+        self.conn.on_close = lambda _conn: self.stop_requested.set()
 
-        ack = await self.conn.request(
-            m.Hello(node_id=self.node_id, kind=self.kind, wire_formats=list(self.wire_formats))
-        )
+        ack = await self.conn.request(m.Hello(node_id=self.node_id, kind=self.kind))
         if not isinstance(ack, m.HelloAck):
             raise AftError(f"unexpected registration reply {type(ack).__name__}")
         self.heartbeat_interval = ack.heartbeat_interval
-        # Adopt the negotiated wire format.  An old router's ack has no
-        # ``wire_format`` field (decode defaults it to "json"), so the
-        # connection simply stays on the JSON wire.
-        if ack.wire_format == FORMAT_BINARY and FORMAT_BINARY in self.wire_formats:
-            self.conn.wire_format = FORMAT_BINARY
 
-        storage = RemoteStorage(
+        self.storage = RemoteStorage(
             self.conn,
             loop=loop,
             request_timeout=self.config.storage_request_timeout,
             coalesce_window=self.coalesce_window,
         )
-        # Batched storage groups need a router that understands the frame.
-        storage.supports_storage_batches = (
-            self.enable_storage_batching and STORAGE_BATCH_FEATURE in (ack.features or [])
-        )
-        self.storage = storage
         self.node = AftNode(
-            storage=storage,
-            commit_store=CommitSetStore(storage),
+            storage=self.storage,
+            commit_store=CommitSetStore(self.storage),
             config=self.config,
             node_id=self.node_id,
         )
@@ -154,7 +135,7 @@ class NodeServer:
         self._serving.set()
 
     async def run_forever(self) -> None:
-        await self._closed.wait()
+        await self.stop_requested.wait()
         await self.stop()
 
     async def stop(self) -> None:
@@ -289,17 +270,6 @@ def main(argv: list[str] | None = None) -> int:
         "(0 waits forever; default: AftConfig.storage_request_timeout)",
     )
     parser.add_argument(
-        "--wire-format",
-        choices=[FORMAT_BINARY, FORMAT_JSON],
-        default=FORMAT_BINARY,
-        help="most capable wire format to offer (json emulates a PR 7 node)",
-    )
-    parser.add_argument(
-        "--no-storage-batching",
-        action="store_true",
-        help="issue one storage frame per op even if the router batches",
-    )
-    parser.add_argument(
         "--coalesce-window",
         type=float,
         default=0.0,
@@ -341,19 +311,17 @@ def main(argv: list[str] | None = None) -> int:
             router_port=args.router_port,
             kind=args.kind,
             config=config,
-            wire_formats=(
-                SUPPORTED_WIRE_FORMATS if args.wire_format == FORMAT_BINARY else (FORMAT_JSON,)
-            ),
-            enable_storage_batching=not args.no_storage_batching,
             coalesce_window=args.coalesce_window,
         )
         await server.start()
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            asyncio.get_running_loop().add_signal_handler(signum, server.stop_requested.set)
         print(f"REPRO_NODE_READY node={args.node_id} kind={args.kind}", flush=True)
         await server.run_forever()
 
     try:
         asyncio.run(run())
-    except KeyboardInterrupt:
+    except KeyboardInterrupt:  # SIGINT before the handlers were installed
         pass
     return 0
 

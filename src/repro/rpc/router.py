@@ -4,7 +4,7 @@ The router plays the roles that live *outside* the shim nodes in the
 paper's deployment (Section 4):
 
 * **Shared storage.**  An in-process engine (``InMemoryStorage`` by
-  default) serves every node's :class:`~repro.rpc.messages.StorageRequest`.
+  default) serves every node's :class:`~repro.rpc.messages.StorageBatch`.
   This is the stand-in for cloud storage — and therefore the one authority
   a late writer cannot bypass, so **epoch fencing is enforced here**: every
   put whose key is a commit-record key has its record parsed and its
@@ -27,13 +27,15 @@ paper's deployment (Section 4):
 
 Run it: ``repro-router --port 7400`` (``--port 0`` picks a free port and
 prints it on the ``REPRO_ROUTER_READY`` line that process harnesses wait
-for).
+for).  SIGTERM or SIGINT stops it cleanly: connections close, the
+observability sink flushes once more, and the process exits 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
+import signal
 import sys
 import threading
 import time
@@ -50,12 +52,9 @@ from repro.observability import metrics as om
 from repro.observability import trace as tr
 from repro.observability.sink import ObservabilitySink
 from repro.rpc import messages as m
-from repro.rpc.framing import FORMAT_BINARY, FORMAT_JSON, RpcConnection
+from repro.rpc.framing import RpcConnection
 from repro.storage.base import StorageEngine, StorageOp, StorageOpResult
 from repro.storage.memory import InMemoryStorage
-
-#: The ``hello_ack.features`` flag advertising the batched storage service.
-STORAGE_BATCH_FEATURE = "storage_batch"
 
 _COMMIT_KEY_PREFIXES = (COMMIT_PREFIX + KEY_SEPARATOR, PARTITIONED_PREFIX + ".")
 
@@ -93,8 +92,6 @@ class RouterServer:
         storage: StorageEngine | None = None,
         lease_duration: float = 5.0,
         heartbeat_interval: float = 1.0,
-        wire_formats: tuple[str, ...] = (FORMAT_JSON, FORMAT_BINARY),
-        enable_storage_batches: bool = True,
         storage_batch_concurrency: int = 16,
         observability: ObservabilityConfig | None = None,
     ) -> None:
@@ -105,14 +102,13 @@ class RouterServer:
         self.storage = storage if storage is not None else InMemoryStorage()
         self.lease_duration = lease_duration
         self.heartbeat_interval = heartbeat_interval
-        #: Formats this router will *send* (a JSON-only tuple emulates an old
-        #: router: peers offering binary fall back via the negotiation).
-        self.wire_formats = tuple(wire_formats)
-        self.enable_storage_batches = enable_storage_batches
         self.storage_batch_concurrency = max(1, storage_batch_concurrency)
         self.fence = EpochFence()
 
         self._server: asyncio.AbstractServer | None = None
+        #: Every accepted connection, members and clients alike: ``stop``
+        #: closes them all, since ``Server.wait_closed`` waits for them.
+        self._conns: set[RpcConnection] = set()
         self._sessions: dict[str, _NodeSession] = {}
         self._routes: dict[str, _NodeSession] = {}
         self._round_robin = 0
@@ -138,11 +134,6 @@ class RouterServer:
         self._lease_task = asyncio.get_running_loop().create_task(self._lease_loop())
         self._sink.start()
 
-    async def serve_forever(self) -> None:
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
-
     async def stop(self) -> None:
         await self._sink.stop()
         if self._lease_task is not None:
@@ -152,19 +143,22 @@ class RouterServer:
             except asyncio.CancelledError:
                 pass
             self._lease_task = None
-        for session in list(self._sessions.values()):
-            await session.conn.close()
         if self._server is not None:
             self._server.close()
+        for conn in list(self._conns):
+            await conn.close()
+        if self._server is not None:
             await self._server.wait_closed()
             self._server = None
 
     async def _accept(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         conn = RpcConnection(reader, writer, handler=self._handle, name="router-peer")
         conn.on_close = self._connection_lost
+        self._conns.add(conn)
         conn.start()
 
     def _connection_lost(self, conn: RpcConnection) -> None:
+        self._conns.discard(conn)
         for node_id, session in list(self._sessions.items()):
             if session.conn is conn:
                 # A dropped socket is a hard failure: fence immediately
@@ -236,8 +230,6 @@ class RouterServer:
     # Request dispatch
     # ------------------------------------------------------------------ #
     async def _handle(self, conn: RpcConnection, msg: m.WireMessage) -> m.WireMessage | None:
-        if isinstance(msg, m.StorageRequest):
-            return self._handle_storage(msg)
         if isinstance(msg, m.StorageBatch):
             return await self._handle_storage_batch(conn, msg)
         if isinstance(msg, m.Heartbeat):
@@ -295,10 +287,7 @@ class RouterServer:
                 ),
                 epoch=self.fence.epoch,
                 commits=self._commits_seen,
-                wire={
-                    node_id: {"format": s.conn.wire_format, **s.conn.stats.as_dict()}
-                    for node_id, s in sorted(self._sessions.items())
-                },
+                wire={node_id: s.conn.stats.as_dict() for node_id, s in sorted(self._sessions.items())},
                 metrics=self.metrics.snapshot(),
             )
         if isinstance(msg, m.Nemesis):
@@ -314,23 +303,8 @@ class RouterServer:
 
     # ------------------------------------------------------------------ #
     def _handle_hello(self, conn: RpcConnection, msg: m.Hello) -> m.HelloAck:
-        # Wire negotiation: binary only when both sides allow it.  An old
-        # peer's Hello simply lacks ``wire_formats`` (unknown-field-tolerant
-        # decode defaults it to ["json"]), so the fallback is automatic —
-        # and the ack from an old *router* lacks ``wire_format``, leaving
-        # the peer on JSON too.
-        offered = set(msg.wire_formats or [FORMAT_JSON])
-        chosen = (
-            FORMAT_BINARY
-            if FORMAT_BINARY in offered and FORMAT_BINARY in self.wire_formats
-            else FORMAT_JSON
-        )
-        conn.wire_format = chosen
-        features = [STORAGE_BATCH_FEATURE] if self.enable_storage_batches else []
-        if msg.kind == "client":
-            # Clients negotiate the wire but are not cluster members: no
-            # session, no lease, no fencing token.
-            return m.HelloAck(node_id=msg.node_id, wire_format=chosen, features=features)
+        if msg.kind not in ("node", "standby"):
+            raise AftError(f"cannot register a {msg.kind!r}: only nodes and standbys join")
         session = _NodeSession(conn=conn, node_id=msg.node_id, kind=msg.kind)
         epoch = 0
         if msg.kind == "node":
@@ -343,8 +317,6 @@ class RouterServer:
             epoch=epoch,
             lease_duration=self.lease_duration,
             heartbeat_interval=self.heartbeat_interval,
-            wire_format=chosen,
-            features=features,
         )
 
     async def _handle_publish(self, msg: m.PublishCommits) -> None:
@@ -425,9 +397,8 @@ class RouterServer:
     def _apply_op_sync(self, op: StorageOp) -> StorageOpResult:
         """Apply one storage op under the lock (fence checks included).
 
-        The single authority for both wire shapes: ``storage`` frames and
-        each op of a ``storage_batch`` frame land here, so the fencing gate
-        cannot be bypassed by taking the batched path.
+        Every op of every ``storage_batch`` frame lands here, so this is the
+        one place the fencing gate has to hold.
         """
         with self._storage_lock:
             if op.op == "get":
@@ -448,28 +419,12 @@ class RouterServer:
                 else:
                     self.storage.multi_put(items)
                 return StorageOpResult()
-            if op.op == "delete":
-                for key in op.keys:
-                    self.storage.delete(key)
-                return StorageOpResult()
             if op.op == "multi_delete":
                 self.storage.multi_delete(list(op.keys))
                 return StorageOpResult()
-            if op.op in ("list", "list_keys"):
+            if op.op == "list":
                 return StorageOpResult(keys=self.storage.list_keys(prefix=op.prefix))
         raise AftError(f"unknown storage op {op.op!r}")
-
-    def _handle_storage(self, msg: m.StorageRequest) -> m.StorageResponse:
-        self.metrics.counter("storage_ops").inc()
-        with tr.span("router.storage", parent=msg.trace, op=msg.op):
-            result = self._apply_op_sync(
-                StorageOp(
-                    op=msg.op, keys=tuple(msg.keys), items=msg.items or None, prefix=msg.prefix
-                )
-            )
-        if result.error is not None:  # pragma: no cover - sync applier raises
-            raise result.error
-        return m.StorageResponse(values=result.values or {}, keys=result.keys or [])
 
     async def _handle_storage_batch(
         self, conn: RpcConnection, msg: m.StorageBatch
@@ -478,7 +433,7 @@ class RouterServer:
 
         Ops fan out under a bounded gather (mirroring the engine-side plan
         fan-out); the storage lock inside :meth:`_apply_op_sync` keeps each
-        fence-check-then-write atomic exactly as on the single-op path.
+        fence-check-then-write atomic.
         Wall-clock engines run their ops on the IO executor so a blocking
         backend cannot stall the router's event loop.
         """
@@ -517,17 +472,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--lease-duration", type=float, default=5.0)
     parser.add_argument("--heartbeat-interval", type=float, default=1.0)
     parser.add_argument(
-        "--wire-format",
-        choices=[FORMAT_BINARY, FORMAT_JSON],
-        default=FORMAT_BINARY,
-        help="most capable wire format to negotiate (json emulates a PR 7 router)",
-    )
-    parser.add_argument(
-        "--no-storage-batching",
-        action="store_true",
-        help="do not advertise the storage_batch feature",
-    )
-    parser.add_argument(
         "--trace-dir",
         default=None,
         help="enable tracing and append span/metrics JSONL dumps to this directory",
@@ -546,12 +490,6 @@ def main(argv: list[str] | None = None) -> int:
             port=args.port,
             lease_duration=args.lease_duration,
             heartbeat_interval=args.heartbeat_interval,
-            wire_formats=(
-                (FORMAT_JSON, FORMAT_BINARY)
-                if args.wire_format == FORMAT_BINARY
-                else (FORMAT_JSON,)
-            ),
-            enable_storage_batches=not args.no_storage_batching,
             observability=ObservabilityConfig(
                 enabled=bool(args.trace_dir or args.metrics_interval > 0),
                 trace_dir=args.trace_dir,
@@ -559,14 +497,18 @@ def main(argv: list[str] | None = None) -> int:
             ),
         )
         await router.start()
+        stop = asyncio.Event()
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            asyncio.get_running_loop().add_signal_handler(signum, stop.set)
         # The ready line is machine-readable: harnesses parse the port from
         # it (mandatory with --port 0).
         print(f"REPRO_ROUTER_READY host={router.host} port={router.port}", flush=True)
-        await router.serve_forever()
+        await stop.wait()
+        await router.stop()
 
     try:
         asyncio.run(run())
-    except KeyboardInterrupt:
+    except KeyboardInterrupt:  # SIGINT before the handlers were installed
         pass
     return 0
 

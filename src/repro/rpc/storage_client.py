@@ -7,21 +7,19 @@ groups out as plain coroutines on the node's event loop with no executor
 hop.  That composes the whole PR stack: IO plans (PR 1) route through the
 async core (PR 6) onto real sockets (PR 7).
 
-On top of that sits the wire hot-path optimisation: when the router
-advertised the ``storage_batch`` feature (see the ``hello`` negotiation),
-``supports_storage_batches`` flips on and every operation routes through a
+Every operation rides a ``storage_batch`` frame through a
 cross-transaction :class:`_OpCoalescer`.  Ops submitted within one
-event-loop tick (or a configurable window) are packed into a single
-``storage_batch`` frame — an IO-plan stage's whole request group crosses
-the wire as one round trip, and independent single ops from *concurrent*
-transactions opportunistically share frames.  Per-op errors come back as
-data, so a fenced commit-record write fails exactly its own waiter.
+event-loop tick (or a configurable window) are packed into a single frame —
+an IO-plan stage's whole request group crosses the wire as one round trip,
+and independent single ops from *concurrent* transactions opportunistically
+share frames.  Per-op errors come back as data, so a fenced commit-record
+write fails exactly its own waiter.
 
 Accounting rule: the layer that returns to the caller does the stats and
-latency accounting — the single-op twins account for themselves, the
-batched ``execute_group_async`` accounts per op for the plan path, and the
-submission machinery (`_submit`, the coalescer) never accounts.  Nothing is
-double-counted whichever path an op takes.
+latency accounting — the single-op twins account in ``_run_op``,
+``execute_group_async`` accounts per op for the plan path, and the
+coalescer never accounts.  Nothing is double-counted whichever path an op
+takes.
 
 The sync :class:`~repro.storage.base.StorageEngine` methods remain usable
 *off* the event loop (they bridge with ``run_coroutine_threadsafe``), which
@@ -39,7 +37,6 @@ from repro.errors import StorageError
 from repro.observability import trace as tr
 from repro.rpc import messages as m
 from repro.rpc.framing import RpcConnection
-from repro.rpc.messages import StorageRequest, StorageResponse
 from repro.storage.base import StorageEngine, StorageOp, StorageOpResult
 
 #: Default socket round-trip budget per storage op (generous: a stalled
@@ -132,6 +129,7 @@ class RemoteStorage(StorageEngine):
     supports_native_async = True
     supports_batch_writes = True
     supports_batch_reads = True
+    supports_storage_batches = True
 
     def __init__(
         self,
@@ -147,52 +145,8 @@ class RemoteStorage(StorageEngine):
         #: Socket round-trip budget per storage op / batch.
         self.request_timeout: float | None = request_timeout
         self._coalescer = _OpCoalescer(conn, self, coalesce_window, coalesce_max_ops)
-        #: Flipped on by the node entrypoint once the ``hello`` negotiation
-        #: confirms the router accepts ``storage_batch`` frames.
-        self.supports_storage_batches = False
 
     # ------------------------------------------------------------------ #
-    async def _call(self, request: StorageRequest) -> StorageResponse:
-        with tr.span("storage.rpc", op=request.op):
-            request.trace = tr.wire_context()
-            reply = await self._conn.request(request, timeout=self.request_timeout)
-        if not isinstance(reply, StorageResponse):
-            raise StorageError(f"unexpected storage reply {type(reply).__name__}")
-        return reply
-
-    async def _submit(self, op: StorageOp) -> StorageOpResult:
-        """Route one op to the wire (coalesced or standalone).  No accounting."""
-        if self.supports_storage_batches:
-            return await self._coalescer.submit(op)
-        return await self._request_single(op)
-
-    async def _request_single(self, op: StorageOp) -> StorageOpResult:
-        """Ship one op as its own ``storage`` frame (the PR 7 wire shape)."""
-        try:
-            if op.op == "get":
-                reply = await self._call(StorageRequest(op="get", keys=list(op.keys)))
-                return StorageOpResult(values={op.keys[0]: reply.values.get(op.keys[0])})
-            if op.op == "multi_get":
-                reply = await self._call(StorageRequest(op="multi_get", keys=list(op.keys)))
-                return StorageOpResult(values={key: reply.values.get(key) for key in op.keys})
-            if op.op == "put":
-                await self._call(StorageRequest(op="put", items=dict(op.items or {})))
-                return StorageOpResult()
-            if op.op == "multi_put":
-                await self._call(StorageRequest(op="multi_put", items=dict(op.items or {})))
-                return StorageOpResult()
-            if op.op == "multi_delete":
-                await self._call(StorageRequest(op="multi_delete", keys=list(op.keys)))
-                return StorageOpResult()
-            if op.op == "list":
-                reply = await self._call(StorageRequest(op="list_keys", prefix=op.prefix))
-                return StorageOpResult(keys=list(reply.keys))
-            raise StorageError(f"unknown storage op {op.op!r}")
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:
-            return StorageOpResult(error=exc)
-
     def _bridge(self, coro):
         """Run an async op from sync code (must be off the event loop)."""
         try:
@@ -256,8 +210,6 @@ class RemoteStorage(StorageEngine):
     # Storage-op groups: one wire frame per plan stage (plus stowaways)
     # ------------------------------------------------------------------ #
     async def execute_group_async(self, ops: list[StorageOp]) -> list[StorageOpResult]:
-        if not self.supports_storage_batches:
-            return await super().execute_group_async(ops)
         results = list(await asyncio.gather(*self._coalescer.submit_many(ops)))
         for op, result in zip(ops, results):
             if result.error is None:
@@ -267,66 +219,42 @@ class RemoteStorage(StorageEngine):
     # ------------------------------------------------------------------ #
     # Native-async operations
     # ------------------------------------------------------------------ #
-    async def get_async(self, key: str) -> bytes | None:
-        op = StorageOp(op="get", keys=(key,))
-        result = await self._submit(op)
+    async def _run_op(self, op: StorageOp) -> StorageOpResult:
+        """Ship one op through the coalescer, raise its error, account for it."""
+        result = await self._coalescer.submit(op)
         if result.error is not None:
             raise result.error
         self._account_op(op, result)
+        return result
+
+    async def get_async(self, key: str) -> bytes | None:
+        result = await self._run_op(StorageOp(op="get", keys=(key,)))
         return (result.values or {}).get(key)
 
     async def put_async(self, key: str, value: bytes) -> None:
-        op = StorageOp(op="put", keys=(key,), items={key: value})
-        result = await self._submit(op)
-        if result.error is not None:
-            raise result.error
-        self._account_op(op, result)
+        await self._run_op(StorageOp(op="put", keys=(key,), items={key: value}))
 
     async def delete_async(self, key: str) -> None:
-        await self._call(StorageRequest(op="delete", keys=[key]))
-        with self._lock:
-            self.stats.deletes += 1
-            self.stats.items_deleted += 1
-        self._charge("delete")
+        await self.multi_delete_async([key])
 
     async def multi_get_async(self, keys: Iterable[str]) -> dict[str, bytes | None]:
         keys = list(keys)
         if not keys:
             return {}
-        op = StorageOp(op="multi_get", keys=tuple(keys))
-        result = await self._submit(op)
-        if result.error is not None:
-            raise result.error
-        self._account_op(op, result)
-        values = result.values or {}
+        values = (await self._run_op(StorageOp(op="multi_get", keys=tuple(keys)))).values or {}
         return {key: values.get(key) for key in keys}
 
     async def multi_put_async(self, items: Mapping[str, bytes]) -> None:
-        if not items:
-            return
-        op = StorageOp(op="multi_put", keys=tuple(items), items=dict(items))
-        result = await self._submit(op)
-        if result.error is not None:
-            raise result.error
-        self._account_op(op, result)
+        if items:
+            await self._run_op(StorageOp(op="multi_put", keys=tuple(items), items=dict(items)))
 
     async def multi_delete_async(self, keys: Iterable[str]) -> None:
-        keys = list(keys)
-        if not keys:
-            return
-        op = StorageOp(op="multi_delete", keys=tuple(keys))
-        result = await self._submit(op)
-        if result.error is not None:
-            raise result.error
-        self._account_op(op, result)
+        keys = tuple(keys)
+        if keys:
+            await self._run_op(StorageOp(op="multi_delete", keys=keys))
 
     async def list_keys_async(self, prefix: str = "") -> list[str]:
-        op = StorageOp(op="list", prefix=prefix)
-        result = await self._submit(op)
-        if result.error is not None:
-            raise result.error
-        self._account_op(op, result)
-        return list(result.keys or [])
+        return list((await self._run_op(StorageOp(op="list", prefix=prefix))).keys or [])
 
     # ------------------------------------------------------------------ #
     # Sync facade (worker threads only)

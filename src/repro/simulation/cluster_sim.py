@@ -873,6 +873,17 @@ def run_deployment(spec: DeploymentSpec) -> DeploymentResult:
     else:
         duration = sim.now
 
+    if cluster is not None:
+        # A transaction that committed in the run's last moments may still
+        # have been finishing client-side when the simulation stopped, so its
+        # client never registered its commit order.  Its durable commit record
+        # names that order; without it the checker falls back to per-key put
+        # timestamps, which disagree even between one writer's own keys and
+        # read as phantom fractured reads.
+        registered = result.anomalies.commit_order
+        for txid in cluster.commit_store.list_transaction_ids():
+            if txid.uuid not in registered:
+                result.anomalies.register_commit_order(txid.uuid, txid)
     anomaly_counts = result.anomalies.counts()
 
     node_stats: list[dict] = []

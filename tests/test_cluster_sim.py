@@ -155,6 +155,16 @@ class TestAftDeployments:
         # beyond transient retries.
         assert result.anomaly_counts.fractured_read_anomalies == 0
 
+    def test_commits_cut_off_by_the_deadline_keep_their_commit_order(self):
+        """A duration-bounded run stops clients mid-program, so a transaction
+        that committed but had not finished client-side never registered its
+        commit order.  The deployment takes it from the durable commit record:
+        otherwise the checker orders that writer's versions by per-key put
+        timestamps, and a reader of two of its keys looks fractured."""
+        result = run_deployment(small_spec(num_clients=8, requests_per_client=None, duration=2.0))
+        committed = sum(stats["committed"] for stats in result.node_stats)
+        assert len(result.client_result.anomalies.commit_order) == committed
+
 
 class TestMetadataPlaneDeployments:
     def test_group_commit_window_coalesces_in_simulated_time(self):

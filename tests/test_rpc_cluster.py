@@ -11,25 +11,29 @@ acceptance bar from the paper's perspective:
   checker (zero RYW / fractured-read anomalies — Table 2 methodology);
 * the nemesis scenario: a node whose heartbeats are paused is declared
   failed, a standby is promoted, and the old node's late commit-record
-  write is rejected by its stale epoch token;
-* both negotiated wire formats (JSON and binary) carry all of the above,
-  and mixed-version pairings (a binary-capable node against a JSON-only
-  router, and vice versa) fall back cleanly.
+  write is rejected by its stale epoch token — through the batched
+  storage path, the only one there is.
 """
 
 from __future__ import annotations
 
 import asyncio
+import os
+import signal
+import socket
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.consistency.checker import AnomalyChecker, TransactionLog
 from repro.consistency.metadata import TaggedValue
-from repro.errors import FencedNodeError, UnknownTransactionError
+from repro.errors import AftError, FencedNodeError, UnknownTransactionError
 from repro.ids import TransactionId
+from repro.rpc import messages as m
 from repro.rpc.client import AsyncRouterClient
-from repro.rpc.framing import FORMAT_BINARY, FORMAT_JSON, SUPPORTED_WIRE_FORMATS
 from repro.rpc.node_server import NodeServer
 from repro.rpc.router import RouterServer
 
@@ -43,20 +47,12 @@ class SocketCluster:
         standbys: int = 0,
         lease_duration: float = 0.6,
         heartbeat_interval: float = 0.1,
-        router_wire_formats: tuple[str, ...] = (FORMAT_JSON, FORMAT_BINARY),
-        node_wire_formats: tuple[str, ...] = SUPPORTED_WIRE_FORMATS,
-        enable_storage_batches: bool = True,
     ) -> None:
         self.router = RouterServer(
-            port=0,
-            lease_duration=lease_duration,
-            heartbeat_interval=heartbeat_interval,
-            wire_formats=router_wire_formats,
-            enable_storage_batches=enable_storage_batches,
+            port=0, lease_duration=lease_duration, heartbeat_interval=heartbeat_interval
         )
         self.n_nodes = n_nodes
         self.n_standbys = standbys
-        self.node_wire_formats = node_wire_formats
         self.nodes: list[NodeServer] = []
         self.standbys: list[NodeServer] = []
         self.client: AsyncRouterClient | None = None
@@ -64,18 +60,11 @@ class SocketCluster:
     async def __aenter__(self) -> "SocketCluster":
         await self.router.start()
         for i in range(self.n_nodes):
-            node = NodeServer(
-                f"n{i}", router_port=self.router.port, wire_formats=self.node_wire_formats
-            )
+            node = NodeServer(f"n{i}", router_port=self.router.port)
             await node.start()
             self.nodes.append(node)
         for i in range(self.n_standbys):
-            standby = NodeServer(
-                f"s{i}",
-                router_port=self.router.port,
-                kind="standby",
-                wire_formats=self.node_wire_formats,
-            )
+            standby = NodeServer(f"s{i}", router_port=self.router.port, kind="standby")
             await standby.start()
             self.standbys.append(standby)
         self.client = await AsyncRouterClient.connect("127.0.0.1", self.router.port)
@@ -90,38 +79,33 @@ class SocketCluster:
         await self.router.stop()
 
 
-#: Wire pairings every end-to-end scenario must survive: the negotiated
-#: binary fast path, a forced-JSON cluster (both sides old), and the two
-#: mixed-version pairings (one side old, negotiation falls back to JSON).
-WIRE_MATRIX = {
-    "binary": dict(),
-    "json": dict(
-        router_wire_formats=(FORMAT_JSON,),
-        node_wire_formats=(FORMAT_JSON,),
-        enable_storage_batches=False,
-    ),
-    "new-node-old-router": dict(router_wire_formats=(FORMAT_JSON,), enable_storage_batches=False),
-    "old-node-new-router": dict(node_wire_formats=(FORMAT_JSON,)),
+#: Value shapes every end-to-end commit must carry unchanged: raw bytes
+#: (every byte value, NULs and invalid UTF-8 included) and plain text.
+PAYLOADS = {
+    "binary": lambda i: bytes([i]) + bytes(range(256)) + b"\x00\xff" * i,
+    "text": lambda i: f"value-{i}".encode(),
 }
 
 
 class TestCommitsThroughRouter:
-    @pytest.mark.parametrize("wire", list(WIRE_MATRIX), ids=str)
-    def test_commit_and_cross_node_read(self, wire):
+    @pytest.mark.parametrize("payload", list(PAYLOADS), ids=str)
+    def test_commit_and_cross_node_read(self, payload):
+        make_value = PAYLOADS[payload]
+
         async def scenario():
-            async with SocketCluster(n_nodes=3, **WIRE_MATRIX[wire]) as cluster:
+            async with SocketCluster(n_nodes=3) as cluster:
                 client = cluster.client
                 # Several transactions: round-robin spreads them over nodes.
                 for i in range(6):
                     tx = await client.start_transaction()
-                    await client.put(tx, f"item:{i}", f"value-{i}".encode())
+                    await client.put(tx, f"item:{i}", make_value(i))
                     token = await client.commit_transaction(tx)
                     assert token  # a TransactionId token string
                 # Every value readable regardless of which node serves.
                 for i in range(6):
                     tx = await client.start_transaction()
                     value = await client.get(tx, f"item:{i}")
-                    assert value == f"value-{i}".encode()
+                    assert value == make_value(i)
                     await client.commit_transaction(tx)
                 info = await client.info()
                 assert sorted(info.nodes) == ["n0", "n1", "n2"]
@@ -143,6 +127,15 @@ class TestCommitsThroughRouter:
                 # exception class the node would raise locally.
                 with pytest.raises(UnknownTransactionError):
                     await client.get(tx, "doomed")
+
+        asyncio.run(scenario())
+
+    def test_router_registers_only_nodes_and_standbys(self):
+        async def scenario():
+            async with SocketCluster(n_nodes=1) as cluster:
+                with pytest.raises(AftError, match="only nodes and standbys"):
+                    await cluster.client._conn.request(m.Hello(node_id="n0", kind="client"))
+                assert (await cluster.client.info()).nodes == ["n0"]
 
         asyncio.run(scenario())
 
@@ -279,6 +272,8 @@ class TestNemesisFencing:
 
 class TestWireNegotiation:
     def test_binary_and_batching_negotiated_by_default(self):
+        """With no settings at all, nodes speak binary frames and batch storage ops."""
+
         async def scenario():
             async with SocketCluster(n_nodes=2) as cluster:
                 client = cluster.client
@@ -287,74 +282,62 @@ class TestWireNegotiation:
                     await client.put(tx, f"neg:{i}", b"x" * 64)
                     await client.commit_transaction(tx)
                 for node in cluster.nodes:
-                    assert node.conn.wire_format == FORMAT_BINARY
                     assert node.storage.supports_storage_batches
                 info = await client.info()
                 # Router-side counters prove ops actually crossed batched.
                 assert set(info.wire) == {"n0", "n1"}
                 for counters in info.wire.values():
-                    assert counters["format"] == FORMAT_BINARY
                     assert counters["frames_in"] > 0 and counters["frames_out"] > 0
                     assert counters["bytes_in"] > 0 and counters["bytes_out"] > 0
                 assert sum(c["batched_ops_in"] for c in info.wire.values()) > 0
 
         asyncio.run(scenario())
 
-    def test_binary_capable_node_falls_back_against_json_only_router(self):
-        """The mixed-version pairing: new node, old (PR 7-era) router."""
 
-        async def scenario():
-            async with SocketCluster(
-                n_nodes=2,
-                router_wire_formats=(FORMAT_JSON,),
-                enable_storage_batches=False,
-            ) as cluster:
-                client = cluster.client
-                tx = await client.start_transaction()
-                await client.put(tx, "fallback", b"still works")
-                await client.commit_transaction(tx)
-                tx = await client.start_transaction()
-                assert await client.get(tx, "fallback") == b"still works"
-                await client.commit_transaction(tx)
-                for node in cluster.nodes:
-                    assert node.conn.wire_format == FORMAT_JSON
-                    assert not node.storage.supports_storage_batches
-                info = await client.info()
-                assert all(c["format"] == FORMAT_JSON for c in info.wire.values())
-                assert all(c["batched_ops_in"] == 0 for c in info.wire.values())
+class TestProcessShutdown:
+    """The entrypoints stop cleanly on SIGTERM: exit 0, final sink flush."""
 
-        asyncio.run(scenario())
+    @staticmethod
+    def _spawn(module: str, *args: str) -> tuple[subprocess.Popen, str]:
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", module, *args],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env=env,
+        )
+        ready = proc.stdout.readline()
+        assert "_READY" in ready, ready + proc.stdout.read()
+        return proc, ready
 
-    def test_json_only_node_against_binary_router(self):
-        """The other mixed-version pairing: old node, new router."""
+    @staticmethod
+    def _terminate(proc: subprocess.Popen) -> int:
+        proc.send_signal(signal.SIGTERM)
+        code = proc.wait(timeout=15)
+        proc.stdout.close()
+        return code
 
-        async def scenario():
-            async with SocketCluster(
-                n_nodes=2, node_wire_formats=(FORMAT_JSON,)
-            ) as cluster:
-                client = cluster.client
-                tx = await client.start_transaction()
-                await client.put(tx, "old-node", b"ok")
-                await client.commit_transaction(tx)
-                for node in cluster.nodes:
-                    assert node.conn.wire_format == FORMAT_JSON
-
-        asyncio.run(scenario())
-
-    def test_batching_disabled_still_serves(self):
-        async def scenario():
-            async with SocketCluster(n_nodes=2, enable_storage_batches=False) as cluster:
-                client = cluster.client
-                tx = await client.start_transaction()
-                await client.put_many(tx, {"a": b"1", "b": b"2"})
-                await client.commit_transaction(tx)
-                tx = await client.start_transaction()
-                values = await client.get_many(tx, ["a", "b"])
-                assert values == {"a": b"1", "b": b"2"}
-                await client.commit_transaction(tx)
-                # Binary wire still negotiated; only the batch feature is off.
-                for node in cluster.nodes:
-                    assert node.conn.wire_format == FORMAT_BINARY
-                    assert not node.storage.supports_storage_batches
-
-        asyncio.run(scenario())
+    def test_sigterm_stops_router_and_node_with_a_final_flush(self, tmp_path):
+        observability = ("--trace-dir", str(tmp_path), "--metrics-interval", "60")
+        procs = []
+        try:
+            router, ready = self._spawn("repro.rpc.router", "--port", "0", *observability)
+            procs.append(router)
+            port = ready.split("port=")[1].split()[0]
+            node, _ = self._spawn(
+                "repro.rpc.node_server", "--node-id", "n0", "--router-port", port, *observability
+            )
+            procs.append(node)
+            # An idle client connection must not hold the router's stop up.
+            with socket.create_connection(("127.0.0.1", int(port))):
+                assert self._terminate(node) == 0
+                assert self._terminate(router) == 0
+        finally:
+            for proc in procs:
+                proc.kill()
+        # The metrics interval is far longer than the run: only the flush
+        # at shutdown can have written these.
+        assert (tmp_path / "metrics-router.jsonl").stat().st_size > 0
+        assert (tmp_path / "metrics-node-n0.jsonl").stat().st_size > 0

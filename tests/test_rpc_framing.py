@@ -1,23 +1,24 @@
-"""Frame codec tests: the JSON and binary wires are interchangeable.
+"""Frame codec tests: one wire, every message, clean rejection of junk.
 
-The contract the distributed runtime's negotiation rests on:
+The contract the distributed runtime rests on:
 
 * **Codec oracle** — for *every* registered message type, arbitrary
-  instances decode identically through the JSON frame codec and the hybrid
-  binary frame codec (hypothesis-driven, bulk bytes included);
-* frames are **sniffed** per frame, so one connection can carry both
-  formats (that is what makes the fallback safe mid-conversation);
+  instances survive the frame codec unchanged (hypothesis-driven, bulk
+  bytes included), and bulk bytes travel raw rather than re-encoded;
 * ``MAX_FRAME_BYTES`` is enforced on the **send** side with a clear local
-  exception, not just by the peer;
+  exception, and on the **receive** side by closing the connection;
+* a body without the frame tag, or truncated, is rejected: the reading
+  connection closes and fails its pending requests with
+  :class:`ConnectionClosedError`, and its reader task ends cleanly;
 * ``storage_batch`` op groups round-trip with per-op payloads and per-op
-  errors intact;
-* the send queue coalesces frames queued during an in-flight ``drain``.
+  errors intact.
 """
 
 from __future__ import annotations
 
 import asyncio
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -26,17 +27,17 @@ from hypothesis import strategies as st
 from repro import errors
 from repro.rpc import framing, messages as m
 from repro.rpc.framing import (
-    FORMAT_BINARY,
-    FORMAT_JSON,
+    ConnectionClosedError,
     FrameTooLargeError,
     RpcConnection,
+    RpcError,
     decode_frame,
     frame_bytes,
 )
 from repro.storage.base import StorageOp, StorageOpResult
 
 # --------------------------------------------------------------------- #
-# The JSON <-> binary codec oracle
+# The codec oracle
 # --------------------------------------------------------------------- #
 _KEYS = st.text(max_size=12)
 _BLOB = st.binary(max_size=128)
@@ -80,75 +81,110 @@ def _message(draw, cls):
     return cls(**kwargs)
 
 
-def _round_trip(message: m.WireMessage, wire_format: str) -> m.WireMessage:
-    """Encode through one full frame codec (length prefix included) and back."""
-    msg_type, version, body = m.encode_body(message)
-    data = frame_bytes({"id": 1, "type": msg_type, "v": version, "body": body}, wire_format)
-    envelope = decode_frame(data[4:])
-    return m.decode_body(envelope["type"], envelope["v"], envelope["body"])
+def _envelope(message: m.WireMessage, **ids) -> dict:
+    msg_type, body = m.encode_body(message)
+    return {**ids, "type": msg_type, "body": body}
+
+
+def _round_trip(message: m.WireMessage) -> m.WireMessage:
+    """Encode through the full frame codec (length prefix included) and back."""
+    envelope = decode_frame(frame_bytes(_envelope(message, id=1))[4:])
+    return m.decode_body(envelope["type"], envelope["body"])
 
 
 @pytest.mark.parametrize("cls", sorted(m.MESSAGE_TYPES.values(), key=lambda c: c.TYPE), ids=lambda c: c.TYPE)
 class TestCodecOracle:
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
-    def test_json_and_binary_decode_identically(self, cls, data):
+    def test_frame_round_trip(self, cls, data):
         message = data.draw(_message(cls))
-        via_json = _round_trip(message, FORMAT_JSON)
-        via_binary = _round_trip(message, FORMAT_BINARY)
-        assert via_json == message
-        assert via_binary == message
-        assert via_json == via_binary
+        assert _round_trip(message) == message
 
 
-class TestFrameSniffing:
-    def test_formats_are_distinguished_per_frame(self):
-        message = m.StorageRequest(op="multi_put", items={"k": b"\x00\x01raw", "gone": None})
-        msg_type, version, body = m.encode_body(message)
-        envelope = {"id": 3, "type": msg_type, "v": version, "body": body}
-        json_frame = frame_bytes(envelope, FORMAT_JSON)
-        binary_frame = frame_bytes(envelope, FORMAT_BINARY)
-        assert json_frame[4:5] == b"{"
-        assert binary_frame[4:5] == b"\x01"
-        for frame in (json_frame, binary_frame):
-            decoded = decode_frame(frame[4:])
-            assert decoded["id"] == 3
-            assert decoded["body"]["items"] == {"k": b"\x00\x01raw", "gone": None}
-
-    def test_binary_payload_is_raw_not_base64(self):
+class TestFrameLayout:
+    def test_bulk_payload_travels_raw(self):
         blob = bytes(range(256)) * 8
-        message = m.StorageResponse(values={"key": blob})
-        msg_type, version, body = m.encode_body(message)
-        frame = frame_bytes({"re": 1, "type": msg_type, "v": version, "body": body}, FORMAT_BINARY)
+        frame = frame_bytes(_envelope(m.ClientValues(values={"key": blob}), re=1))
+        assert frame[4:5] == b"\x01"
         assert blob in frame  # verbatim bytes, no inflation
-        json_frame = frame_bytes(
-            {"re": 1, "type": msg_type, "v": version, "body": body}, FORMAT_JSON
-        )
-        assert blob not in json_frame
-        assert len(frame) < len(json_frame)
+        assert len(frame) < len(blob) + 128
 
     def test_error_reply_envelope_has_no_body(self):
         envelope = {"re": 9, "error": m.error_to_wire(errors.FencedNodeError("stale epoch"))}
-        for wire_format in (FORMAT_JSON, FORMAT_BINARY):
-            decoded = decode_frame(frame_bytes(envelope, wire_format)[4:])
-            assert decoded["re"] == 9
-            assert decoded["error"]["kind"] == "fenced"
+        decoded = decode_frame(frame_bytes(envelope)[4:])
+        assert decoded["re"] == 9
+        assert decoded["error"]["kind"] == "fenced"
 
 
 class TestSendSideLimit:
     def test_oversized_outgoing_frame_is_rejected_locally(self, monkeypatch):
         monkeypatch.setattr(framing, "MAX_FRAME_BYTES", 512)
-        message = m.StorageRequest(op="put", items={"k": b"x" * 4096})
-        msg_type, version, body = m.encode_body(message)
-        envelope = {"id": 1, "type": msg_type, "v": version, "body": body}
-        for wire_format in (FORMAT_JSON, FORMAT_BINARY):
-            with pytest.raises(FrameTooLargeError, match="exceeds the 512-byte limit"):
-                frame_bytes(envelope, wire_format)
+        envelope = _envelope(m.ClientPut(txid="t", items={"k": b"x" * 4096}), id=1)
+        with pytest.raises(FrameTooLargeError, match="exceeds the 512-byte limit"):
+            frame_bytes(envelope)
 
     def test_frames_under_the_limit_pass(self):
-        message = m.Heartbeat(node_id="n0")
-        msg_type, version, body = m.encode_body(message)
-        assert frame_bytes({"type": msg_type, "v": version, "body": body}, FORMAT_BINARY)
+        assert frame_bytes(_envelope(m.Heartbeat(node_id="n0")))
+
+
+def _length_prefixed(body: bytes) -> bytes:
+    return len(body).to_bytes(4, "big") + body
+
+
+def _tagged(header: bytes, payload: bytes = b"") -> bytes:
+    return b"\x01" + len(header).to_bytes(4, "big") + header + payload
+
+
+#: Frame bodies a reader must refuse.  The first is what a JSON-era peer
+#: sent: a bare JSON envelope with no tag byte.
+_JUNK_BODIES = {
+    "json-era": b'{"re":1,"type":"info_reply","v":1,"body":{}}',
+    "random-bytes": bytes(random.Random(7).getrandbits(8) for _ in range(64)),
+    "truncated-header": _tagged(b'{"re":1,"type":"info_reply","body":{}}')[:20],
+    "truncated-payload": _tagged(b'{"re":1,"type":"client_values","body":{"values":{"k":[0,99]}}}', b"short"),
+    "header-not-an-object": _tagged(b"[]"),
+}
+
+
+class TestMalformedFrames:
+    @pytest.mark.parametrize("body", list(_JUNK_BODIES.values()), ids=list(_JUNK_BODIES))
+    def test_decode_frame_raises_rpc_error(self, body):
+        with pytest.raises(RpcError, match="malformed frame"):
+            decode_frame(body)
+
+    @pytest.mark.parametrize(
+        "frame",
+        [_length_prefixed(body) for body in _JUNK_BODIES.values()]
+        + [(framing.MAX_FRAME_BYTES + 1).to_bytes(4, "big")],
+        ids=[*_JUNK_BODIES, "oversized-length-prefix"],
+    )
+    def test_junk_reply_closes_the_connection(self, frame):
+        """A live connection answered with junk fails the pending request and
+        closes; its reader task ends without an exception of its own."""
+
+        async def scenario():
+            async def accept(reader, writer):
+                (length,) = framing._LENGTH.unpack(await reader.readexactly(4))
+                await reader.readexactly(length)
+                writer.write(frame)
+                await writer.drain()
+                await reader.read()  # hold the socket open until the client closes
+                writer.close()
+
+            server = await asyncio.start_server(accept, "127.0.0.1", 0)
+            conn = await framing.connect("127.0.0.1", server.sockets[0].getsockname()[1])
+            reader_task = conn._reader_task
+            try:
+                with pytest.raises(ConnectionClosedError):
+                    await conn.request(m.Info(), timeout=5.0)
+                await asyncio.wait_for(reader_task, 5.0)  # re-raises a reader crash
+                assert conn.is_closed
+            finally:
+                await conn.close()
+                server.close()
+                await server.wait_closed()
+
+        asyncio.run(scenario())
 
 
 class TestStorageOpBatchCodec:
@@ -176,57 +212,12 @@ class TestStorageOpBatchCodec:
         assert back[2].keys == ["k1", "k2"]
         assert back[3].values is None and back[3].error is None
 
-    def test_batch_frames_survive_both_wires(self):
+    def test_batch_frames_survive_the_wire(self):
         ops = [StorageOp(op="put", keys=("k",), items={"k": b"\xff" * 32})]
-        batch = m.encode_storage_ops(ops)
-        msg_type, version, body = m.encode_body(batch)
-        for wire_format in (FORMAT_JSON, FORMAT_BINARY):
-            frame = frame_bytes({"id": 1, "type": msg_type, "v": version, "body": body}, wire_format)
-            envelope = decode_frame(frame[4:])
-            decoded = m.decode_body(envelope["type"], envelope["v"], envelope["body"])
-            assert m.decode_storage_ops(decoded) == ops
+        assert m.decode_storage_ops(_round_trip(m.encode_storage_ops(ops))) == ops
 
 
-class _FakeWriter:
-    """StreamWriter stand-in: records writes, drains slowly."""
-
-    def __init__(self) -> None:
-        self.writes: list[bytes] = []
-
-    def write(self, data: bytes) -> None:
-        self.writes.append(data)
-
-    async def drain(self) -> None:
-        await asyncio.sleep(0.001)
-
-    def get_extra_info(self, name):
-        return None
-
-    def close(self) -> None:
-        pass
-
-    async def wait_closed(self) -> None:
-        pass
-
-
-class TestWriterCoalescing:
-    def test_frames_queued_during_drain_share_one_write(self):
-        async def scenario():
-            writer = _FakeWriter()
-            conn = RpcConnection(asyncio.StreamReader(), writer)
-            await asyncio.gather(
-                *(conn.notify(m.Heartbeat(node_id=f"n{i}")) for i in range(10))
-            )
-            return writer, conn
-
-        writer, conn = asyncio.run(scenario())
-        assert conn.stats.frames_sent == 10
-        # The first frame flushes alone; everything queued during its drain
-        # goes out in (at most a couple of) combined writes.
-        assert conn.stats.drains < 10
-        assert len(writer.writes) == conn.stats.drains
-        assert sum(len(chunk) for chunk in writer.writes) == conn.stats.bytes_sent
-
+class TestConnectionCounters:
     def test_counters_track_both_directions(self):
         async def scenario():
             server_conns = []
@@ -242,7 +233,6 @@ class TestWriterCoalescing:
             server = await asyncio.start_server(accept, "127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]
             conn = await framing.connect("127.0.0.1", port, name="client")
-            conn.wire_format = FORMAT_BINARY
             for _ in range(3):
                 await conn.request(m.Info(), timeout=5.0)
             stats = conn.stats

@@ -28,10 +28,10 @@ relying on thread timing.
 node entry points: the first commit to open a batch schedules a flush task
 that sleeps the window on the loop (``asyncio.sleep``) instead of parking a
 leader thread, and the flush persists the batch through
-:func:`execute_commit_plan_async` so its stage fan-out shares the bounded IO
-executor with everything else.  Waiter cancellation never cancels the flush —
-the flush runs in its own task, so a client timing out mid-commit cannot
-abandon other members' durability.
+:func:`execute_commit_plan_async`.  Waiter cancellation never cancels the
+flush — the flush runs in its own task, so a client timing out mid-commit
+cannot abandon other members' durability.  Both committers share one copy of
+the batch rule (fence check, merge, flush accounting) in :class:`_Committer`.
 """
 
 from __future__ import annotations
@@ -124,8 +124,14 @@ class PendingCommit:
     trace: "tr.TraceContext | None" = None
 
 
-class GroupCommitter:
-    """Coalesces concurrent commits on one node into shared storage batches."""
+class _Committer:
+    """The state and the §3.3 batch rule both group committers share.
+
+    A flush merges its members into one combined commit plan
+    (:meth:`_merge`), persists it under one span (:meth:`_flush_span`), and
+    accounts for it (:meth:`_flushed`); only *how* a batch forms and waits
+    differs between the threaded and the event-loop committer.
+    """
 
     def __init__(
         self,
@@ -145,10 +151,54 @@ class GroupCommitter:
         #: maintain its NodeStats counters under its own lock).
         self._on_flush = on_flush
         self._lock = threading.Lock()
+        self.stats = GroupCommitStats()
+
+    def _merge(self, batch: list[PendingCommit]) -> tuple[dict[str, bytes], dict[str, bytes]]:
+        """Fence-check every member and merge the batch's data and records."""
+        data: dict[str, bytes] = {}
+        records: dict[str, bytes] = {}
+        for pending in batch:
+            # A fenced member poisons the whole batch: a combined plan cannot
+            # be partially flushed, and a fenced node should not be flushing
+            # at all — the error propagates to every member, which retries
+            # on a live node.
+            self._commit_store.check_record_fence(pending.record)
+            data.update(pending.data)
+            records[self._commit_store.record_storage_key(pending.record.txid)] = (
+                pending.record.to_bytes()
+            )
+        return data, records
+
+    @staticmethod
+    def _flush_span(batch: list[PendingCommit], data: Mapping[str, bytes]):
+        # A shared flush belongs to every member; the span joins the first
+        # member's trace (the others keep causality via their enqueue spans).
+        return tr.span(
+            "gc.flush",
+            txid=batch[0].txid,
+            parent=batch[0].trace,
+            n_txns=len(batch),
+            n_keys=len(data),
+        )
+
+    def _flushed(self, batch_size: int) -> None:
+        """Account for one successful flush."""
+        with self._lock:
+            self.stats.flushes += 1
+            self.stats.transactions_flushed += batch_size
+            self.stats.largest_batch = max(self.stats.largest_batch, batch_size)
+        if self._on_flush is not None:
+            self._on_flush(batch_size)
+
+
+class GroupCommitter(_Committer):
+    """Coalesces concurrent commits on one node into shared storage batches."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         self._queue: list[PendingCommit] = []
         self._leader_active = False
         self._arrival = threading.Event()
-        self.stats = GroupCommitStats()
 
     # ------------------------------------------------------------------ #
     # Public entry points
@@ -240,36 +290,10 @@ class GroupCommitter:
     # ------------------------------------------------------------------ #
     def _flush(self, batch: list[PendingCommit]) -> None:
         """Persist one batch with the combined two-stage commit plan."""
-        data: dict[str, bytes] = {}
-        records: dict[str, bytes] = {}
-        for pending in batch:
-            # A fenced member poisons the whole batch: the leader cannot
-            # partially flush a combined plan, and a fenced node should not
-            # be leading flushes at all — the error propagates to every
-            # member, which retries on a live node.
-            self._commit_store.check_record_fence(pending.record)
-            data.update(pending.data)
-            records[self._commit_store.record_storage_key(pending.record.txid)] = (
-                pending.record.to_bytes()
-            )
-
-        # A shared flush belongs to every member; the span joins the first
-        # member's trace (the others keep causality via their enqueue spans).
-        with tr.span(
-            "gc.flush",
-            txid=batch[0].txid,
-            parent=batch[0].trace,
-            n_txns=len(batch),
-            n_keys=len(data),
-        ):
+        data, records = self._merge(batch)
+        with self._flush_span(batch, data):
             execute_commit_plan(self._storage, self._commit_store, data, records)
-
-        with self._lock:
-            self.stats.flushes += 1
-            self.stats.transactions_flushed += len(batch)
-            self.stats.largest_batch = max(self.stats.largest_batch, len(batch))
-        if self._on_flush is not None:
-            self._on_flush(len(batch))
+        self._flushed(len(batch))
 
 
 class _AsyncBatch:
@@ -282,7 +306,7 @@ class _AsyncBatch:
         self.future = future
 
 
-class AsyncGroupCommitter:
+class AsyncGroupCommitter(_Committer):
     """Event-loop group commit: an ``asyncio.sleep`` timer replaces the leader.
 
     All state transitions happen on the event loop with no ``await`` between
@@ -294,27 +318,12 @@ class AsyncGroupCommitter:
     threaded committer, so callers can share the finalize logic.
     """
 
-    def __init__(
-        self,
-        storage: StorageEngine,
-        commit_store: CommitSetStore,
-        window: float = 0.0,
-        max_txns: int = 8,
-        on_flush: Callable[[int], None] | None = None,
-    ) -> None:
-        if max_txns < 1:
-            raise ValueError("group_commit_max_txns must be >= 1")
-        self._storage = storage
-        self._commit_store = commit_store
-        self.window = float(window)
-        self.max_txns = int(max_txns)
-        self._on_flush = on_flush
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         self._open: _AsyncBatch | None = None
         #: Strong references to in-flight flush tasks (the event loop only
         #: keeps weak ones; an unreferenced task may be garbage collected).
         self._flush_tasks: set[asyncio.Task] = set()
-        self._lock = threading.Lock()
-        self.stats = GroupCommitStats()
 
     async def commit(self, pending: PendingCommit) -> PendingCommit:
         """Submit one commit; returns once its batch flushed (or raises)."""
@@ -354,28 +363,10 @@ class AsyncGroupCommitter:
             self._open = None
         members = batch.members
         try:
-            data: dict[str, bytes] = {}
-            records: dict[str, bytes] = {}
-            for pending in members:
-                self._commit_store.check_record_fence(pending.record)
-                data.update(pending.data)
-                records[self._commit_store.record_storage_key(pending.record.txid)] = (
-                    pending.record.to_bytes()
-                )
-            with tr.span(
-                "gc.flush",
-                txid=members[0].txid,
-                parent=members[0].trace,
-                n_txns=len(members),
-                n_keys=len(data),
-            ):
+            data, records = self._merge(members)
+            with self._flush_span(members, data):
                 await execute_commit_plan_async(self._storage, self._commit_store, data, records)
-            with self._lock:
-                self.stats.flushes += 1
-                self.stats.transactions_flushed += len(members)
-                self.stats.largest_batch = max(self.stats.largest_batch, len(members))
-            if self._on_flush is not None:
-                self._on_flush(len(members))
+            self._flushed(len(members))
         except BaseException as exc:  # noqa: BLE001 - propagated per commit
             for pending in members:
                 pending.error = exc

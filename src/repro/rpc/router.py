@@ -3,8 +3,8 @@
 The router plays the roles that live *outside* the shim nodes in the
 paper's deployment (Section 4):
 
-* **Shared storage.**  An in-process engine (``InMemoryStorage`` by
-  default) serves every node's :class:`~repro.rpc.messages.StorageBatch`.
+* **Shared storage.**  An in-process ``InMemoryStorage`` serves every
+  node's :class:`~repro.rpc.messages.StorageBatch`.
   This is the stand-in for cloud storage — and therefore the one authority
   a late writer cannot bypass, so **epoch fencing is enforced here**: every
   put whose key is a commit-record key has its record parsed and its
@@ -41,7 +41,6 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from repro import runtime
 from repro.config import ObservabilityConfig
 from repro.core.commit_set import CommitRecord
 from repro.core.metadata_plane.fencing import EpochFence
@@ -53,7 +52,7 @@ from repro.observability import trace as tr
 from repro.observability.sink import ObservabilitySink
 from repro.rpc import messages as m
 from repro.rpc.framing import RpcConnection
-from repro.storage.base import StorageEngine, StorageOp, StorageOpResult
+from repro.storage.base import StorageOp, StorageOpResult
 from repro.storage.memory import InMemoryStorage
 
 _COMMIT_KEY_PREFIXES = (COMMIT_PREFIX + KEY_SEPARATOR, PARTITIONED_PREFIX + ".")
@@ -89,20 +88,17 @@ class RouterServer:
         self,
         host: str = "127.0.0.1",
         port: int = 0,
-        storage: StorageEngine | None = None,
         lease_duration: float = 5.0,
         heartbeat_interval: float = 1.0,
-        storage_batch_concurrency: int = 16,
         observability: ObservabilityConfig | None = None,
     ) -> None:
         if lease_duration <= heartbeat_interval:
             raise ValueError("lease_duration must exceed heartbeat_interval")
         self.host = host
         self.port = port
-        self.storage = storage if storage is not None else InMemoryStorage()
+        self.storage = InMemoryStorage()
         self.lease_duration = lease_duration
         self.heartbeat_interval = heartbeat_interval
-        self.storage_batch_concurrency = max(1, storage_batch_concurrency)
         self.fence = EpochFence()
 
         self._server: asyncio.AbstractServer | None = None
@@ -401,68 +397,34 @@ class RouterServer:
         one place the fencing gate has to hold.
         """
         with self._storage_lock:
-            if op.op == "get":
-                key = op.keys[0]
-                return StorageOpResult(values={key: self.storage.get(key)})
-            if op.op == "multi_get":
-                return StorageOpResult(values=self.storage.multi_get(list(op.keys)))
-            if op.op in ("put", "multi_put"):
-                items = dict(op.items or {})
-                # Validate the whole request before writing any of it: a
-                # batch with one fenced record writes nothing (the
-                # group-commit flush relies on this all-or-nothing shape).
-                for key, value in items.items():
-                    self._check_put_fence(key, value)
-                if op.op == "put":
-                    for key, value in items.items():
-                        self.storage.put(key, value)
-                else:
-                    self.storage.multi_put(items)
-                return StorageOpResult()
-            if op.op == "multi_delete":
-                self.storage.multi_delete(list(op.keys))
-                return StorageOpResult()
-            if op.op == "list":
-                return StorageOpResult(keys=self.storage.list_keys(prefix=op.prefix))
-        raise AftError(f"unknown storage op {op.op!r}")
+            # Validate the whole request before writing any of it: a batch
+            # with one fenced record writes nothing (the group-commit flush
+            # relies on this all-or-nothing shape).
+            for key, value in (op.items or {}).items():
+                self._check_put_fence(key, value)
+            return self.storage.apply_op(op)
 
     async def _handle_storage_batch(
         self, conn: RpcConnection, msg: m.StorageBatch
     ) -> m.StorageBatchResult:
         """Execute one batched op group, one reply frame, errors per op.
 
-        Ops fan out under a bounded gather (mirroring the engine-side plan
-        fan-out); the storage lock inside :meth:`_apply_op_sync` keeps each
-        fence-check-then-write atomic.
-        Wall-clock engines run their ops on the IO executor so a blocking
-        backend cannot stall the router's event loop.
+        The ops apply in order on the event loop — the router's storage is
+        in-memory, so each op is instant — and the storage lock inside
+        :meth:`_apply_op_sync` keeps each fence-check-then-write atomic.
         """
         ops = m.decode_storage_ops(msg)
         conn.stats.batched_ops_received += len(ops)
         self.metrics.counter("storage_ops").inc(len(ops))
         self.metrics.counter("storage_batches").inc()
-
-        def apply_checked(op: StorageOp) -> StorageOpResult:
-            try:
-                return self._apply_op_sync(op)
-            except Exception as exc:
-                return StorageOpResult(error=exc)
-
+        results: list[StorageOpResult] = []
         with tr.span("router.storage_batch", parent=msg.trace, n_ops=len(ops)):
-            if not self.storage.wall_clock_io:
-                results = [apply_checked(op) for op in ops]
-                return m.encode_storage_results(results)
-            loop = asyncio.get_running_loop()
-            limit = asyncio.Semaphore(self.storage_batch_concurrency)
-
-            async def run_one(op: StorageOp) -> StorageOpResult:
-                async with limit:
-                    return await loop.run_in_executor(
-                        runtime.io_executor(), runtime.marked(lambda: apply_checked(op))
-                    )
-
-            results = list(await asyncio.gather(*(run_one(op) for op in ops)))
-            return m.encode_storage_results(results)
+            for op in ops:
+                try:
+                    results.append(self._apply_op_sync(op))
+                except Exception as exc:
+                    results.append(StorageOpResult(error=exc))
+        return m.encode_storage_results(results)
 
 
 def main(argv: list[str] | None = None) -> int:

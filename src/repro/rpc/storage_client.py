@@ -1,16 +1,15 @@
 """A storage engine that speaks to the router's shared storage service.
 
-:class:`RemoteStorage` is the node process's view of cloud storage.  It
-declares ``supports_native_async`` — the ``*_async`` twins await socket
-round trips directly, so ``execute_plan_async`` fans a plan stage's request
-groups out as plain coroutines on the node's event loop with no executor
-hop.  That composes the whole PR stack: IO plans (PR 1) route through the
-async core (PR 6) onto real sockets (PR 7).
+:class:`RemoteStorage` is the node process's view of cloud storage.  Its
+``*_async`` twins await socket round trips directly, and it overrides
+:meth:`~repro.storage.base.StorageEngine.execute_group_async` so that each
+IO-plan stage — the op group ``execute_plan_async`` hands it — crosses the
+wire as one frame on the node's event loop, with no executor hop.
 
 Every operation rides a ``storage_batch`` frame through a
 cross-transaction :class:`_OpCoalescer`.  Ops submitted within one
 event-loop tick (or a configurable window) are packed into a single frame —
-an IO-plan stage's whole request group crosses the wire as one round trip,
+an IO-plan stage's whole op group crosses the wire as one round trip,
 and independent single ops from *concurrent* transactions opportunistically
 share frames.  Per-op errors come back as data, so a fenced commit-record
 write fails exactly its own waiter.
@@ -126,10 +125,8 @@ class RemoteStorage(StorageEngine):
 
     name = "remote"
     wall_clock_io = True
-    supports_native_async = True
     supports_batch_writes = True
     supports_batch_reads = True
-    supports_storage_batches = True
 
     def __init__(
         self,
@@ -217,7 +214,7 @@ class RemoteStorage(StorageEngine):
         return results
 
     # ------------------------------------------------------------------ #
-    # Native-async operations
+    # Async operations
     # ------------------------------------------------------------------ #
     async def _run_op(self, op: StorageOp) -> StorageOpResult:
         """Ship one op through the coalescer, raise its error, account for it."""

@@ -1,23 +1,22 @@
 """The shared IO runtime: one bounded executor for all blocking storage work.
 
-The async hot path (``StorageEngine.execute_plan_async`` and the ``*_async``
-node entry points) fans request groups out with ``asyncio.gather``, but the
-storage engines themselves expose blocking calls — real backends block on
-sockets, :class:`~repro.storage.latency_injected.LatencyInjectedStorage`
-blocks on ``time.sleep``.  Those blocking calls run on the process-wide
-executor owned by this module, so the total number of in-flight storage
-requests is bounded no matter how many plans, nodes, or event loops are
-active at once.
-
-The same executor backs the *sync facade*: ``execute_plan`` dispatches a
-stage's request groups here when the engine declares ``wall_clock_io`` (see
-:mod:`repro.storage.base`), and the fault manager's parallel per-shard
-recovery replay runs through :func:`run_blocking_group` instead of spinning
-up a private ``ThreadPoolExecutor`` per recovery.
+IO plans never touch this executor: ``StorageEngine.execute_plan_async``
+runs each plan stage as one op group on the event loop (wall-clock engines
+overlap the group's ops over their ``*_async`` twins), and the sync facade
+``execute_plan`` applies a stage's ops in order on the calling thread (see
+:mod:`repro.storage.base`).  What remains here is the blocking work that has
+no async twin: the node's pipeline-off sequential paths, which the async
+entry points move off the event loop, and the fault manager's parallel
+per-shard recovery replay, which runs through :func:`run_blocking_group`
+instead of spinning up a private ``ThreadPoolExecutor`` per recovery.  All of
+it shares one process-wide executor, so the number of in-flight blocking
+requests is bounded no matter how many nodes or event loops are active.  The
+executor's size is also the default per-stage op bound of the plan path
+(:attr:`~repro.storage.base.StorageEngine.effective_io_concurrency`).
 
 Re-entrancy: work submitted to the executor is marked with a thread-local
 flag.  Code that would otherwise dispatch *more* work to the executor (a
-nested plan execution inside a recovery replay, say) detects the flag via
+nested fan-out inside a recovery replay, say) detects the flag via
 :func:`in_io_worker` and runs inline instead — the classic nested-pool
 deadlock (all workers blocked waiting for queue slots that only workers can
 free) cannot occur.
@@ -97,7 +96,7 @@ def marked(fn: Callable[[], Any]) -> Callable[[], Any]:
     Capturing a context snapshot at the dispatch site keeps context-local
     state — the observability plane's trace context, the storage ledger
     attachment — flowing across the thread hop, so a span opened around a
-    sync plan execution still parents the work its groups do on workers.
+    dispatch still parents the work it does on a worker.
     """
     ctx = contextvars.copy_context()
     return lambda: ctx.run(run_marked, fn)

@@ -22,7 +22,7 @@ import threading
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from repro import runtime
 from repro.clock import Clock, SystemClock
@@ -176,14 +176,13 @@ class StorageStats:
 class StorageOp:
     """One storage operation in engine-neutral descriptor form.
 
-    The unit of :meth:`StorageEngine.execute_group_async`: a request group
-    (one batched or point request) described as data rather than as a bound
-    thunk, so engines that talk to a *remote* storage service can ship a
-    whole group of ops over the wire in one frame instead of one round trip
-    per op.  ``op`` is one of ``get`` / ``multi_get`` / ``put`` /
-    ``multi_put`` / ``multi_delete`` / ``list``; ``items`` carries the
-    values for writes (keyed exactly by ``keys``); ``prefix`` is only
-    meaningful for ``list``.
+    The only form in which an IO-plan stage reaches storage: one op is one
+    storage request (a native batch or a point request), described as data
+    so engines that talk to a *remote* storage service can ship a whole
+    stage over the wire in one frame instead of one round trip per op.
+    ``op`` is one of ``get`` / ``multi_get`` / ``put`` / ``multi_put`` /
+    ``multi_delete`` / ``list``; ``items`` carries the values for writes
+    (keyed exactly by ``keys``); ``prefix`` is only meaningful for ``list``.
     """
 
     op: str
@@ -227,26 +226,12 @@ class StorageEngine(ABC):
     #: Whether the engine's operations block for *real* wall-clock time
     #: (network sockets, injected sleeps).  The simulated engines meter their
     #: latency instead of sleeping, so they leave this False and keep the
-    #: deterministic sequential issue order; wall-clock engines opt into the
-    #: concurrent fan-out of ``execute_plan`` / ``execute_plan_async``.
+    #: deterministic sequential issue order; wall-clock engines have the ops
+    #: of one plan stage overlap in ``execute_plan_async``.
     wall_clock_io: bool = False
-    #: Whether the engine's IO is natively non-blocking (its ``*_async``
-    #: operation twins await real IO instead of wrapping the sync methods).
-    #: ``execute_plan_async`` then fans request groups out as plain
-    #: coroutines on the event loop — no ``run_in_executor`` hop, no
-    #: executor-slot contention, no GIL hand-off per group — which is what
-    #: lifts the >16-client swarm plateau.  Only meaningful together with
-    #: ``wall_clock_io``; metered engines stay sequential either way.
-    supports_native_async: bool = False
-    #: Whether the engine executes a whole request *group* as one unit when
-    #: handed a list of :class:`StorageOp` descriptors.  Remote engines remap
-    #: the group onto a single ``storage_batch`` wire frame; for everything
-    #: else the default :meth:`execute_group_async` is just a bounded gather
-    #: over the ``*_async`` twins and this flag stays False.
-    supports_storage_batches: bool = False
-    #: Per-engine bound on concurrently issued request groups within one plan
-    #: stage.  ``None`` falls back to the shared runtime default; nodes set it
-    #: from :attr:`repro.config.AftConfig.io_concurrency`.
+    #: Per-engine bound on concurrently issued ops within one plan stage.
+    #: ``None`` falls back to the shared runtime default; nodes set it from
+    #: :attr:`repro.config.AftConfig.io_concurrency`.
     io_concurrency: int | None = None
 
     def __init__(self, latency_model: LatencyModel | None = None, clock: Clock | None = None) -> None:
@@ -256,11 +241,10 @@ class StorageEngine(ABC):
         #: Ledger attachment is context-local (``contextvars``): concurrent
         #: committers each meter their own operations without cross-wiring
         #: each other's cost accounting.  A ContextVar rather than
-        #: ``threading.local`` because the native-async plan path interleaves
-        #: many request groups as coroutines *on one loop thread* — asyncio
-        #: tasks copy the context at creation, so each group's ledger stays
-        #: isolated; plain threads keep their per-thread contexts, preserving
-        #: the old thread-local semantics exactly.
+        #: ``threading.local`` because many plans interleave as coroutines
+        #: *on one loop thread* — asyncio tasks copy the context at creation,
+        #: so each plan's ledger stays isolated; plain threads keep their
+        #: per-thread contexts, preserving the thread-local semantics exactly.
         self._ledger_slot: contextvars.ContextVar[CostLedger | None] = contextvars.ContextVar(
             f"repro-ledger-{id(self)}", default=None
         )
@@ -335,12 +319,11 @@ class StorageEngine(ABC):
             self.delete(key)
 
     # ------------------------------------------------------------------ #
-    # Native-async operation twins
+    # Async operation twins
     # ------------------------------------------------------------------ #
-    # Engines declaring ``supports_native_async`` override these with truly
-    # non-blocking implementations (``asyncio.sleep``, async sockets); the
-    # defaults delegate to the sync methods so the async plan path stays
-    # correct — though not non-blocking — on any engine.
+    # Wall-clock engines override these with truly non-blocking
+    # implementations (``asyncio.sleep``, async sockets); the defaults
+    # delegate to the sync methods, which is all a metered engine needs.
     async def get_async(self, key: str) -> bytes | None:
         return self.get(key)
 
@@ -349,6 +332,9 @@ class StorageEngine(ABC):
 
     async def delete_async(self, key: str) -> None:
         self.delete(key)
+
+    async def list_keys_async(self, prefix: str = "") -> list[str]:
+        return self.list_keys(prefix)
 
     async def multi_get_async(self, keys: Iterable[str]) -> dict[str, bytes | None]:
         return self.multi_get(keys)
@@ -360,56 +346,94 @@ class StorageEngine(ABC):
         self.multi_delete(keys)
 
     # ------------------------------------------------------------------ #
-    # Storage-op groups (descriptor form of a plan stage)
+    # Storage ops: one dispatcher per facade
     # ------------------------------------------------------------------ #
+    def apply_op(self, op: StorageOp) -> StorageOpResult:
+        """Apply one descriptor through the sync operations; errors raise."""
+        if op.op == "get":
+            key = op.keys[0]
+            return StorageOpResult(values={key: self.get(key)})
+        if op.op == "multi_get":
+            return StorageOpResult(values=dict(self.multi_get(list(op.keys))))
+        if op.op == "put":
+            for key in op.keys:
+                self.put(key, (op.items or {})[key])
+            return StorageOpResult()
+        if op.op == "multi_put":
+            self.multi_put(op.items or {})
+            return StorageOpResult()
+        if op.op == "multi_delete":
+            self.multi_delete(list(op.keys))
+            return StorageOpResult()
+        if op.op == "list":
+            return StorageOpResult(keys=self.list_keys(op.prefix))
+        raise ValueError(f"unknown storage op {op.op!r}")
+
+    async def apply_op_async(self, op: StorageOp) -> StorageOpResult:
+        """Async twin of :meth:`apply_op`, over the ``*_async`` twins."""
+        if op.op == "get":
+            key = op.keys[0]
+            return StorageOpResult(values={key: await self.get_async(key)})
+        if op.op == "multi_get":
+            return StorageOpResult(values=dict(await self.multi_get_async(list(op.keys))))
+        if op.op == "put":
+            for key in op.keys:
+                await self.put_async(key, (op.items or {})[key])
+            return StorageOpResult()
+        if op.op == "multi_put":
+            await self.multi_put_async(op.items or {})
+            return StorageOpResult()
+        if op.op == "multi_delete":
+            await self.multi_delete_async(list(op.keys))
+            return StorageOpResult()
+        if op.op == "list":
+            return StorageOpResult(keys=await self.list_keys_async(op.prefix))
+        raise ValueError(f"unknown storage op {op.op!r}")
+
     async def execute_group_async(self, ops: list[StorageOp]) -> list[StorageOpResult]:
         """Execute a group of ops, returning one result per op, in order.
 
         Exceptions are captured per op (never raised) so callers can fail
-        exactly the waiter whose op failed.  The default implementation is a
-        semaphore-bounded gather over the ``*_async`` twins; engines with
-        ``supports_storage_batches`` override it to execute the whole group
-        as a single request.
+        exactly the waiter whose op failed.  Metered engines apply the ops
+        inline, in order, which keeps their seeded latency sampling
+        deterministic; wall-clock engines overlap them, at most
+        :attr:`effective_io_concurrency` in flight.  Remote engines override
+        this to ship the whole group as one request.
         """
-        if len(ops) == 1:
-            return [await self._apply_op_async(ops[0])]
-        limit = asyncio.Semaphore(self.effective_io_concurrency)
 
         async def run_one(op: StorageOp) -> StorageOpResult:
+            try:
+                return await self.apply_op_async(op)
+            except Exception as exc:
+                return StorageOpResult(error=exc)
+
+        if not self.wall_clock_io:
+            return [await run_one(op) for op in ops]
+        limit = asyncio.Semaphore(self.effective_io_concurrency)
+
+        async def run_bounded(op: StorageOp) -> StorageOpResult:
             async with limit:
-                return await self._apply_op_async(op)
+                return await run_one(op)
 
-        return list(await asyncio.gather(*(run_one(op) for op in ops)))
+        return list(await asyncio.gather(*(run_bounded(op) for op in ops)))
 
-    async def _apply_op_async(self, op: StorageOp) -> StorageOpResult:
-        """Apply one descriptor via the ``*_async`` twins, capturing errors."""
-        try:
-            if op.op == "get":
-                key = op.keys[0]
-                return StorageOpResult(values={key: await self.get_async(key)})
-            if op.op == "multi_get":
-                return StorageOpResult(values=dict(await self.multi_get_async(list(op.keys))))
-            if op.op == "put":
-                key = op.keys[0]
-                await self.put_async(key, (op.items or {})[key])
-                return StorageOpResult()
-            if op.op == "multi_put":
-                await self.multi_put_async(op.items or {})
-                return StorageOpResult()
-            if op.op == "multi_delete":
-                await self.multi_delete_async(list(op.keys))
-                return StorageOpResult()
-            if op.op == "list":
-                lister = getattr(self, "list_keys_async", None)
-                if lister is not None:
-                    return StorageOpResult(keys=list(await lister(op.prefix)))
-                return StorageOpResult(keys=self.list_keys(op.prefix))
-            raise ValueError(f"unknown storage op {op.op!r}")
-        except Exception as exc:
-            return StorageOpResult(error=exc)
+    # ------------------------------------------------------------------ #
+    # IO-plan execution (the batched parallel-IO pipeline)
+    # ------------------------------------------------------------------ #
+    @property
+    def effective_io_concurrency(self) -> int:
+        """Per-stage op concurrency bound actually in effect."""
+        if self.io_concurrency is not None:
+            return max(1, self.io_concurrency)
+        return runtime.io_executor_size()
 
     def _stage_ops(self, stage: "IOStage") -> list[StorageOp]:
-        """Descriptor form of :meth:`_stage_groups`: one ``StorageOp`` per group."""
+        """Partition one plan stage into ops, one storage request each.
+
+        The engine's capability hooks (:meth:`_plan_put_groups` /
+        :meth:`_plan_get_groups`) decide the grouping: a native batch per
+        ``max_batch_size`` chunk, one op per shard, or one op per key.
+        """
         ops: list[StorageOp] = []
         for group in self._plan_put_groups(stage.puts):
             keys = tuple(group)
@@ -426,67 +450,19 @@ class StorageEngine(ABC):
             ops.append(StorageOp(op="multi_delete", keys=tuple(stage.deletes)))
         return ops
 
-    async def _execute_stage_batched(
-        self, stage: "IOStage", stage_id: int
-    ) -> list[tuple[dict[str, bytes | None] | None, CostLedger]]:
-        """Run one plan stage through :meth:`execute_group_async`.
-
-        The whole stage travels as one op group (for a remote engine: one
-        wire frame), so the stage barrier is still a barrier — the next
-        stage's ops are only built after every result of this one returned.
-        """
-        ledger = CostLedger()
-        ledger._current_stage = stage_id
-        ops = self._stage_ops(stage)
-        if not ops:
-            return []
-        with self.metered(ledger):
-            results = await self.execute_group_async(ops)
-        values: dict[str, bytes | None] = {}
-        for op_result in results:
-            if op_result.error is not None:
-                raise op_result.error
-            if op_result.values:
-                values.update(op_result.values)
-        return [(values or None, ledger)]
-
-    # ------------------------------------------------------------------ #
-    # IO-plan execution (the batched parallel-IO pipeline)
-    # ------------------------------------------------------------------ #
-    @property
-    def effective_io_concurrency(self) -> int:
-        """Per-stage request-group concurrency bound actually in effect."""
-        if self.io_concurrency is not None:
-            return max(1, self.io_concurrency)
-        return runtime.io_executor_size()
-
     def execute_plan(self, plan: "IOPlan") -> "PlanResult":
         """Execute an :class:`~repro.core.io_plan.IOPlan` against this engine.
 
-        Each stage's operations are partitioned into *request groups* by the
-        engine's capability hooks (:meth:`_plan_put_groups` /
-        :meth:`_plan_get_groups`): a group is one storage request.  How a
-        stage's groups are *issued* depends on the engine:
+        The sync facade: each stage's ops (:meth:`_stage_ops`) are applied in
+        order on the calling thread, and the first op that raises aborts the
+        plan.  Every operation lands on the attached :class:`CostLedger`
+        tagged with its stage, so ``ledger.pipelined_latency`` charges the
+        max latency within a stage plus the sum across stages — the charged
+        concurrency matches :meth:`execute_plan_async` exactly.
 
-        * Engines with ``wall_clock_io`` (real backends, the latency-injected
-          wrapper) dispatch the groups onto the process-wide bounded executor
-          (:mod:`repro.runtime`) so blocking requests genuinely overlap, at
-          most :attr:`effective_io_concurrency` in flight at once.  This is
-          the sync facade over the same fan-out ``execute_plan_async`` drives
-          with ``asyncio.gather``.
-        * Metered engines (the simulated backends) issue the groups
-          sequentially on the calling thread.  Their latency is sampled from
-          seeded models, not slept, so threads would buy nothing and would
-          scramble the deterministic sampling order the experiment medians
-          depend on.  The *charged* concurrency is identical either way:
-          every operation lands on the attached :class:`CostLedger` tagged
-          with its stage, and ``ledger.pipelined_latency`` charges the max
-          latency within a stage plus the sum across stages.
-
-        Stages remain barriers in both modes — no group of stage ``i+1`` is
-        issued until every group of stage ``i`` completed — which is how the
-        commit plan preserves the paper's data-before-commit-record write
-        ordering (Section 3.3).
+        Stages are barriers — no op of stage ``i+1`` is issued until every
+        op of stage ``i`` completed — which is how the commit plan preserves
+        the paper's data-before-commit-record write ordering (Section 3.3).
         """
         from repro.core.io_plan import PlanResult
 
@@ -502,16 +478,10 @@ class StorageEngine(ABC):
             n_ops=plan.operation_count,
         ):
             for stage in plan.stages:
-                stage_id = next(_stage_ids)
-                groups = self._stage_groups(stage)
-                if len(groups) > 1 and self.wall_clock_io:
-                    outcomes = runtime.run_blocking_group(
-                        [lambda g=group: self._run_group(g, stage_id) for group in groups],
-                        concurrency=self.effective_io_concurrency,
-                    )
-                else:
-                    outcomes = [self._run_group(group, stage_id) for group in groups]
-                self._collect_stage(outcomes, inner, result)
+                ledger = self._stage_ledger()
+                with self.metered(ledger):
+                    results = [self.apply_op(op) for op in self._stage_ops(stage)]
+                self._collect_stage(results, ledger, inner, result)
         if outer is not None:
             outer.merge(inner)
         self._record_plan_stats(plan)
@@ -520,25 +490,14 @@ class StorageEngine(ABC):
     async def execute_plan_async(self, plan: "IOPlan") -> "PlanResult":
         """Asynchronously execute an :class:`~repro.core.io_plan.IOPlan`.
 
-        The async core of the IO pipeline: each stage's request groups are
-        fanned out with ``asyncio.gather``, every group running as one
-        blocking call on the shared bounded executor.  Stages remain
-        barriers — the gather of stage ``i`` is awaited before stage ``i+1``
-        issues — so the commit plan's data-before-commit-record ordering
-        holds exactly as in the sync path, and a caller cancelled mid-stage
-        never gets a later stage issued on its behalf.
-
-        Metered (non-``wall_clock_io``) engines run their groups inline on
-        the event loop instead: their operations return immediately and the
-        sequential issue order keeps the seeded latency sampling — and hence
-        the sync/async parity of values, stage latencies, and stats —
-        deterministic.
-
-        Engines that additionally declare ``supports_native_async`` skip the
-        executor entirely: each request group runs as a coroutine over the
-        engine's ``*_async`` operation twins, bounded by the same
-        per-stage concurrency semaphore.  No thread hop per group means the
-        fan-out is limited by the event loop, not by executor slots.
+        The async core of the IO pipeline: each stage runs as one op group
+        through :meth:`execute_group_async` (for a remote engine: one wire
+        frame).  Stages remain barriers — stage ``i+1``'s ops are only built
+        after every result of stage ``i`` returned, and the first failed op
+        of a stage aborts the plan — so the commit plan's
+        data-before-commit-record ordering holds exactly as in the sync
+        path, and a caller cancelled mid-stage never gets a later stage
+        issued on its behalf.
         """
         from repro.core.io_plan import PlanResult
 
@@ -546,159 +505,49 @@ class StorageEngine(ABC):
         inner = CostLedger()
         result = PlanResult()
         try:
-            # One span per plan, mirroring the sync path: stage names become
-            # an attribute instead of per-stage spans on the hot path.
+            # One span per plan, mirroring the sync path.
             with tr.span(
                 "io.plan",
                 stages=",".join(s.name for s in plan.stages),
                 n_ops=plan.operation_count,
             ):
                 for stage in plan.stages:
-                    stage_id = next(_stage_ids)
-                    if self.supports_storage_batches:
-                        outcomes = await self._execute_stage_batched(stage, stage_id)
-                        self._collect_stage(outcomes, inner, result)
-                        continue
-                    if self.wall_clock_io and self.supports_native_async:
-                        outcomes = await self._gather_groups_native(
-                            self._stage_groups_async(stage), stage_id
-                        )
-                        self._collect_stage(outcomes, inner, result)
-                        continue
-                    groups = self._stage_groups(stage)
-                    if len(groups) > 1 and self.wall_clock_io:
-                        outcomes = await self._gather_groups(groups, stage_id)
-                    elif groups and self.wall_clock_io:
-                        loop = asyncio.get_running_loop()
-                        outcomes = [
-                            await loop.run_in_executor(
-                                runtime.io_executor(),
-                                runtime.marked(
-                                    lambda g=groups[0]: self._run_group(g, stage_id)
-                                ),
-                            )
-                        ]
-                    else:
-                        outcomes = [self._run_group(group, stage_id) for group in groups]
-                    self._collect_stage(outcomes, inner, result)
+                    ledger = self._stage_ledger()
+                    with self.metered(ledger):
+                        results = await self.execute_group_async(self._stage_ops(stage))
+                    for op_result in results:
+                        if op_result.error is not None:
+                            raise op_result.error
+                    self._collect_stage(results, ledger, inner, result)
         finally:
-            # Surface the charges of completed groups even when cancelled
+            # Surface the charges of completed stages even when cancelled
             # mid-plan, so callers can still account for the work that ran.
             if outer is not None:
                 outer.merge(inner)
         self._record_plan_stats(plan)
         return result
 
-    async def _gather_groups(
-        self, groups: list[Callable[[], dict[str, bytes | None] | None]], stage_id: int
-    ) -> list[tuple[dict[str, bytes | None] | None, CostLedger]]:
-        """Fan one stage's groups out on the executor, bounded by a semaphore."""
-        loop = asyncio.get_running_loop()
-        limit = asyncio.Semaphore(self.effective_io_concurrency)
-
-        async def run_one(group: Callable[[], dict[str, bytes | None] | None]):
-            async with limit:
-                return await loop.run_in_executor(
-                    runtime.io_executor(),
-                    runtime.marked(lambda: self._run_group(group, stage_id)),
-                )
-
-        return list(await asyncio.gather(*(run_one(group) for group in groups)))
-
-    async def _gather_groups_native(self, thunks, stage_id: int):
-        """Fan one stage's groups out as coroutines on the loop (no executor).
-
-        ``asyncio.gather`` wraps each coroutine in a task, and tasks copy the
-        current context at creation — so each group's ``metered`` attachment
-        (a ContextVar) is isolated per group even though they all interleave
-        on one thread.
-        """
-        limit = asyncio.Semaphore(self.effective_io_concurrency)
-
-        async def run_one(thunk):
-            async with limit:
-                ledger = CostLedger()
-                ledger._current_stage = stage_id
-                with self.metered(ledger):
-                    values = await thunk()
-                return values, ledger
-
-        return list(await asyncio.gather(*(run_one(thunk) for thunk in thunks)))
-
-    def _stage_groups_async(self, stage: "IOStage"):
-        """Async twin of :meth:`_stage_groups`: coroutine thunks per request group."""
-        thunks = []
-        for group in self._plan_put_groups(stage.puts):
-            thunks.append(lambda g=group: self._execute_put_group_async(g))
-        for key_group in self._plan_get_groups(stage.gets):
-            thunks.append(lambda ks=key_group: self._execute_get_group_async(ks))
-        deletes = stage.deletes
-        if deletes:
-            thunks.append(lambda ks=deletes: self.multi_delete_async(ks))
-        return thunks
-
-    async def _execute_put_group_async(self, group: Mapping[str, bytes]) -> None:
-        if len(group) > 1:
-            await self.multi_put_async(group)
-        else:
-            for key, value in group.items():
-                await self.put_async(key, value)
-
-    async def _execute_get_group_async(self, keys: list[str]) -> dict[str, bytes | None]:
-        if len(keys) > 1:
-            return await self.multi_get_async(keys)
-        return {keys[0]: await self.get_async(keys[0])}
-
-    def _stage_groups(
-        self, stage: "IOStage"
-    ) -> list[Callable[[], dict[str, bytes | None] | None]]:
-        """Partition one stage into request-group thunks (one storage request each)."""
-        thunks: list[Callable[[], dict[str, bytes | None] | None]] = []
-        for group in self._plan_put_groups(stage.puts):
-            thunks.append(lambda g=group: self._execute_put_group(g))
-        for key_group in self._plan_get_groups(stage.gets):
-            thunks.append(lambda ks=key_group: self._execute_get_group(ks))
-        deletes = stage.deletes
-        if deletes:
-            thunks.append(lambda ks=deletes: self._execute_delete_group(ks))
-        return thunks
-
-    def _run_group(
-        self, thunk: Callable[[], dict[str, bytes | None] | None], stage_id: int
-    ) -> tuple[dict[str, bytes | None] | None, CostLedger]:
-        """Issue one request group under its own stage-tagged ledger.
-
-        The per-group ledger makes the charge accounting thread-agnostic:
-        whichever thread runs the group, its operations land on a private
-        ledger (ledger attachment is thread-local) that the plan executor
-        merges back in group order — so the merged entry sequence is
-        identical to the old single-ledger sequential loop.
-        """
+    @staticmethod
+    def _stage_ledger() -> CostLedger:
+        """A fresh ledger whose every entry is tagged with one new stage id."""
         ledger = CostLedger()
-        ledger._current_stage = stage_id
-        with self.metered(ledger):
-            values = thunk()
-        return values, ledger
+        ledger._current_stage = next(_stage_ids)
+        return ledger
 
+    @staticmethod
     def _collect_stage(
-        self,
-        outcomes: list[tuple[dict[str, bytes | None] | None, CostLedger]],
+        results: list[StorageOpResult],
+        ledger: CostLedger,
         inner: CostLedger,
         result: "PlanResult",
     ) -> None:
-        """Merge one stage's group outcomes into the plan ledger and result."""
-        stage_latency = 0.0
-        stage_requests = 0
-        for values, ledger in outcomes:
-            if values:
-                result.values.update(values)
-            inner.merge(ledger)
-            stage_requests += len(ledger.entries)
-            stage_latency = max(
-                stage_latency, max((entry.latency for entry in ledger.entries), default=0.0)
-            )
-        result.stage_latencies.append(stage_latency)
-        result.requests_issued += stage_requests
+        """Merge one stage's op results and charges into the plan's."""
+        for op_result in results:
+            if op_result.values:
+                result.values.update(op_result.values)
+        inner.merge(ledger)
+        result.stage_latencies.append(max((entry.latency for entry in ledger.entries), default=0.0))
+        result.requests_issued += len(ledger.entries)
 
     def _record_plan_stats(self, plan: "IOPlan") -> None:
         with self._lock:
@@ -722,14 +571,6 @@ class StorageEngine(ABC):
             return [dict(pairs[start : start + limit]) for start in range(0, len(pairs), limit)]
         return [{key: value} for key, value in items.items()]
 
-    def _execute_put_group(self, group: Mapping[str, bytes]) -> None:
-        """Issue one put request (a native batch, or a point write)."""
-        if len(group) > 1:
-            self.multi_put(group)
-        else:
-            for key, value in group.items():
-                self.put(key, value)
-
     def _plan_get_groups(self, keys: list[str]) -> list[list[str]]:
         """Partition a stage's gets into concurrent requests."""
         if not keys:
@@ -738,16 +579,6 @@ class StorageEngine(ABC):
             limit = self.max_batch_get_size or len(keys)
             return [keys[start : start + limit] for start in range(0, len(keys), limit)]
         return [[key] for key in keys]
-
-    def _execute_get_group(self, keys: list[str]) -> dict[str, bytes | None]:
-        """Issue one get request (a native batch, or a point read)."""
-        if len(keys) > 1:
-            return self.multi_get(keys)
-        return {keys[0]: self.get(keys[0])}
-
-    def _execute_delete_group(self, keys: list[str]) -> None:
-        """Issue one delete request covering a stage's deletes."""
-        self.multi_delete(keys)
 
     # ------------------------------------------------------------------ #
     # Convenience

@@ -10,12 +10,13 @@ no reproduction code path ever experiences real concurrency.
 simulated-time accounting — exactly what the async-IO benchmark needs to
 measure genuine txn/s scaling (``bench_ablation_async_io``).
 
-The wrapper declares ``wall_clock_io``, so ``execute_plan`` /
-``execute_plan_async`` fan its request groups out on the shared bounded
-executor instead of issuing them sequentially.  The injected sleep happens
-*outside* the wrapper's lock; the inner engine's (instant) operation and the
-stats counters are updated under it, so counters stay exact even under heavy
-fan-out.
+The wrapper declares ``wall_clock_io``, so ``execute_plan_async`` overlaps
+the ops of one plan stage instead of issuing them one by one.  Its ``*_async``
+twins ``await asyncio.sleep`` the injected delay, so many in-flight ops
+interleave on one event loop the way requests to a real async-socket backend
+do; the sync methods ``time.sleep`` it.  The delay happens *outside* the
+wrapper's lock; the inner engine's (instant) operation and the stats counters
+are updated under it, so counters stay exact under heavy concurrency.
 """
 
 from __future__ import annotations
@@ -45,13 +46,6 @@ class LatencyInjectedStorage(StorageEngine):
         Latency model whose samples are *charged* to the attached ledger
         (the usual metering).  Defaults to :class:`ZeroLatency` — the whole
         point of the wrapper is that its cost shows up on the wall clock.
-    native_async:
-        Declare ``supports_native_async``: the injected delay of the
-        ``*_async`` operation twins becomes an ``asyncio.sleep`` awaited on
-        the event loop, so ``execute_plan_async`` fans request groups out as
-        plain coroutines instead of executor hops.  This models a real
-        async-socket backend and is what the ``bench_ablation_async_io``
-        native-path ablation toggles.
     """
 
     name = "latency-injected"
@@ -63,14 +57,12 @@ class LatencyInjectedStorage(StorageEngine):
         injected: LatencyModel | None = None,
         charged: LatencyModel | None = None,
         clock: Clock | None = None,
-        native_async: bool = False,
     ) -> None:
         super().__init__(
             latency_model=charged if charged is not None else ZeroLatency(), clock=clock
         )
         self.inner = inner
         self.injected = injected if injected is not None else ConstantLatency(0.001)
-        self.supports_native_async = bool(native_async)
         self.supports_batch_writes = inner.supports_batch_writes
         self.max_batch_size = inner.max_batch_size
         self.supports_batch_reads = inner.supports_batch_reads
@@ -152,8 +144,8 @@ class LatencyInjectedStorage(StorageEngine):
         self._charge("batch_write", n_items=max(1, len(keys)))
 
     # ------------------------------------------------------------------ #
-    # Native-async twins: the injected delay is awaited, not slept, so the
-    # event loop interleaves many in-flight operations on one thread.  The
+    # Async twins: the injected delay is awaited, not slept, so the event
+    # loop interleaves many in-flight operations on one thread.  The
     # inner (instant) operation and the counters still update under the lock.
     # ------------------------------------------------------------------ #
     async def _sleep_async(self, op: str, n_items: int = 1, total_bytes: int = 0) -> None:

@@ -179,23 +179,11 @@ class SimulatedRedisCluster(StorageEngine):
             by_shard.setdefault(self.shard_of(key), {})[key] = value
         return list(by_shard.values())
 
-    def _execute_put_group(self, group: Mapping[str, bytes]) -> None:
-        if len(group) > 1:
-            self.mset(group)
-        else:
-            for key, value in group.items():
-                self.put(key, value)
-
     def _plan_get_groups(self, keys: Iterable[str]) -> list[list[str]]:
         by_shard: dict[int, list[str]] = {}
         for key in keys:
             by_shard.setdefault(self.shard_of(key), []).append(key)
         return list(by_shard.values())
-
-    def _execute_get_group(self, keys: list[str]) -> dict[str, bytes | None]:
-        if len(keys) > 1:
-            return self.mget(keys)
-        return {keys[0]: self.get(keys[0])}
 
     def multi_delete(self, keys: Iterable[str]) -> None:
         keys = list(keys)

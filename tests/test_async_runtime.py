@@ -27,9 +27,10 @@ from repro.config import AftConfig
 from repro.core.io_plan import IOPlan
 from repro.core.node import AftNode
 from repro.core.transaction import TransactionStatus
-from repro.ids import is_commit_record_key
+from repro.ids import TransactionId, commit_record_key, data_key, is_commit_record_key, is_data_key
+from repro.nemesis.faults import TornWriteError, TornWriteStorage
 from repro.storage.dynamodb import SimulatedDynamoDB
-from repro.storage.latency import ConstantLatency, ZeroLatency
+from repro.storage.latency import ConstantLatency, LatencyModel, ZeroLatency
 from repro.storage.latency_injected import LatencyInjectedStorage
 from repro.storage.memory import InMemoryStorage
 from repro.storage.rediscluster import SimulatedRedisCluster
@@ -117,24 +118,45 @@ class TestSyncAsyncParity:
         assert async_node.stats.storage_value_reads == sync_node.stats.storage_value_reads
 
 
+def run_sync(engine, plan):
+    return engine.execute_plan(plan)
+
+
+def run_async(engine, plan):
+    return asyncio.run(engine.execute_plan_async(plan))
+
+
+class TestErrorSemantics:
+    """A failed data stage aborts the plan before its record stage — both facades."""
+
+    @pytest.mark.parametrize("run", [run_sync, run_async], ids=["sync", "async"])
+    @pytest.mark.parametrize("kind", ["memory", "s3"])
+    def test_data_stage_failure_leaves_no_commit_record(self, run, kind):
+        # memory batches (the multi_put is torn); s3 does not (a point put fails).
+        inner = make_engine(kind)
+        engine = TornWriteStorage(inner, mode="abort")
+        engine.arm()
+        txid = TransactionId(timestamp=1.0, uuid="torn")
+        data = {data_key(f"k{i}", txid): b"v" for i in range(4)}
+        plan = IOPlan.commit(data, {commit_record_key(txid): b"record"})
+
+        with pytest.raises(TornWriteError):
+            run(engine, plan)
+
+        assert engine.torn_writes == 1
+        stored = inner.list_keys()
+        assert any(is_data_key(key) for key in stored)
+        assert not any(is_commit_record_key(key) for key in stored)
+
+
 class TestWallClockOverlap:
-    """Wall-clock engines really overlap requests — in both facades."""
+    """Wall-clock engines really overlap a stage's ops in the async core."""
 
     def overlap_engine(self, sleep_s: float = 0.02) -> LatencyInjectedStorage:
-        # SimulatedS3 has no batch APIs, so an 8-key stage fans out as 8
-        # request groups; the injected sleeps are real.
+        # SimulatedS3 has no batch APIs, so an 8-key stage is 8 ops; the
+        # injected sleeps are real.
         inner = SimulatedS3(latency_model=ZeroLatency(), clock=LogicalClock(auto_step=1e-6))
         return LatencyInjectedStorage(inner, injected=ConstantLatency(sleep_s))
-
-    def test_sync_facade_overlaps_groups(self):
-        engine = self.overlap_engine()
-        items = {f"k{i}": b"v" for i in range(8)}
-        start = time.monotonic()
-        engine.execute_plan(IOPlan.writes(items, name="overlap"))
-        elapsed = time.monotonic() - start
-        # Serial would sleep 8 x 20 ms = 160 ms; overlapped is ~20-40 ms.
-        assert elapsed < 0.120
-        assert engine.stats.writes == 8
 
     def test_async_core_overlaps_groups(self):
         engine = self.overlap_engine()
@@ -151,38 +173,68 @@ class TestWallClockOverlap:
         engine = self.overlap_engine(sleep_s=0.02)
         engine.io_concurrency = 1
         items = {f"k{i}": b"v" for i in range(4)}
-        start = time.monotonic()
-        engine.execute_plan(IOPlan.writes(items, name="bounded"))
-        elapsed = time.monotonic() - start
+
+        async def run():
+            start = time.monotonic()
+            await engine.execute_plan_async(IOPlan.writes(items, name="bounded"))
+            return time.monotonic() - start
+
         # A concurrency bound of one degenerates to the serial sum.
-        assert elapsed >= 0.065
+        assert asyncio.run(run()) >= 0.065
+        assert engine.stats.writes == 4
+
+
+class SizeLatency(LatencyModel):
+    """``slow`` seconds for payloads of ``threshold`` bytes or more, else ``fast``."""
+
+    def __init__(self, fast: float, slow: float, threshold: int) -> None:
+        self.fast, self.slow, self.threshold = fast, slow, threshold
+
+    def sample(self, op: str, n_items: int = 1, total_bytes: int = 0) -> float:
+        return self.slow if total_bytes >= self.threshold else self.fast
 
 
 class RecordingStorage(LatencyInjectedStorage):
-    """Timestamps the completion of every put for ordering assertions."""
+    """Timestamps the completion of every write, sync or async."""
 
-    def __init__(self, sleep_s: float = 0.01) -> None:
+    def __init__(self, injected: LatencyModel) -> None:
         inner = SimulatedS3(latency_model=ZeroLatency(), clock=LogicalClock(auto_step=1e-6))
-        super().__init__(inner, injected=ConstantLatency(sleep_s))
+        super().__init__(inner, injected=injected)
         self.completions: list[tuple[str, float]] = []
         self._completions_lock = threading.Lock()
 
+    def _record(self, keys) -> None:
+        with self._completions_lock:
+            now = time.monotonic()
+            self.completions.extend((key, now) for key in keys)
+
     def put(self, key, value):
         super().put(key, value)
-        with self._completions_lock:
-            self.completions.append((key, time.monotonic()))
+        self._record([key])
+
+    async def put_async(self, key, value):
+        await super().put_async(key, value)
+        self._record([key])
+
+    async def multi_put_async(self, items):
+        await super().multi_put_async(items)
+        self._record(items)
 
 
 class TestWriteOrderingUnderFanout:
     def test_commit_record_lands_after_all_data(self):
-        engine = RecordingStorage()
-        data = {f"data/k{i}": b"v" for i in range(6)}
+        # Data writes take 30 ms, the record 1 ms: issued together, the
+        # record would complete first; only the stage barrier orders it last.
+        engine = RecordingStorage(injected=SizeLatency(fast=0.001, slow=0.03, threshold=1024))
+        data = {f"data/k{i}": b"x" * 2048 for i in range(6)}
         records = {"commit/r": b"record"}
 
         asyncio.run(engine.execute_plan_async(IOPlan.commit(data, records)))
 
         data_times = [t for key, t in engine.completions if key in data]
         record_times = [t for key, t in engine.completions if key in records]
+        # Every data write was observed completing: the ordering check
+        # below compares real timestamps, not an empty list.
         assert len(data_times) == 6 and len(record_times) == 1
         # The stage barrier: every data write completed before the record
         # write even started (completion-before-completion is implied).
@@ -190,8 +242,10 @@ class TestWriteOrderingUnderFanout:
 
 
 class TestCancellation:
-    def make_slow_node(self, sleep_s: float = 0.05) -> tuple[AftNode, RecordingStorage]:
-        engine = RecordingStorage(sleep_s=sleep_s)
+    def make_slow_node(self) -> tuple[AftNode, RecordingStorage]:
+        # Small payloads land in 1 ms, large ones take 500 ms: a commit of
+        # both is cancelled mid-data-stage with some data already durable.
+        engine = RecordingStorage(injected=SizeLatency(fast=0.001, slow=0.5, threshold=1024))
         node = AftNode(
             engine,
             config=AftConfig(enable_data_cache=False),
@@ -206,16 +260,19 @@ class TestCancellation:
         async def run():
             txid = node.start_transaction("doomed")
             for i in range(4):
-                node.put(txid, f"key-{i}", b"value")
+                value = b"v" if i % 2 == 0 else b"x" * 4096
+                node.put(txid, f"key-{i}", value)
             with pytest.raises(asyncio.TimeoutError):
-                # The data stage alone sleeps ~50 ms; cancel long before.
-                await asyncio.wait_for(node.commit_transaction_async(txid), timeout=0.01)
+                # The large data writes sleep 500 ms; cancel long before.
+                await asyncio.wait_for(node.commit_transaction_async(txid), timeout=0.05)
             return txid
 
         txid = asyncio.run(run())
-        # Let any already-dispatched data writes drain, then check: the
-        # record stage never ran, so the transaction is invisible.
-        time.sleep(0.3)
+        # The data stage really ran: its small writes completed before the
+        # cancellation, the large ones were cancelled with it.
+        data_keys = [key for key, _ in engine.completions if is_data_key(key)]
+        assert len(data_keys) == 2
+        # The record stage never ran, so the transaction is invisible.
         assert not any(is_commit_record_key(key) for key, _ in engine.completions)
         transaction = node._transactions[txid]
         assert transaction.status is not TransactionStatus.COMMITTED
@@ -331,9 +388,8 @@ class TestRuntimeHelpers:
     def test_config_validates_io_concurrency(self):
         with pytest.raises(ValueError):
             AftConfig(io_concurrency=0)
-        config = AftConfig(io_concurrency=4, async_runtime=True)
+        config = AftConfig(io_concurrency=4)
         assert config.as_dict()["io_concurrency"] == 4
-        assert config.as_dict()["async_runtime"] is True
 
     def test_node_applies_io_concurrency_to_engines(self):
         engine = InMemoryStorage()

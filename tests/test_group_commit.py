@@ -8,18 +8,20 @@ visible state — readers keep seeing the pre-batch versions, never a mix.
 
 from __future__ import annotations
 
+import asyncio
 import threading
 
 import pytest
 
 from repro.clock import LogicalClock
 from repro.config import AftConfig
-from repro.core.commit_set import CommitSetStore
-from repro.core.group_commit import GroupCommitter, PendingCommit
+from repro.core.commit_set import CommitRecord, CommitSetStore
+from repro.core.group_commit import AsyncGroupCommitter, GroupCommitter, PendingCommit
+from repro.core.metadata_plane.fencing import EpochFence
 from repro.core.node import AftNode
 from repro.core.transaction import TransactionStatus
-from repro.errors import StorageUnavailableError
-from repro.ids import is_commit_record_key
+from repro.errors import FencedNodeError, StorageUnavailableError
+from repro.ids import TransactionId, data_key, is_commit_record_key
 from repro.storage.memory import InMemoryStorage
 
 
@@ -339,3 +341,32 @@ class TestGroupCommitterDirect:
         assert committer.stats.flushes == 2
         assert committer.stats.transactions_flushed == 3
         assert committer.stats.largest_batch == 2
+
+
+class TestBatchFencing:
+    @pytest.mark.parametrize("committer_cls", [GroupCommitter, AsyncGroupCommitter])
+    def test_one_fenced_member_poisons_the_whole_batch(self, committer_cls):
+        storage = InMemoryStorage()
+        store = CommitSetStore(storage)
+        store.fence = EpochFence()
+        live_epoch = store.fence.grant("live").epoch
+        stale_epoch = store.fence.grant("stale").epoch
+        store.fence.revoke("stale")
+        pendings = []
+        for i, (node_id, epoch) in enumerate([("live", live_epoch), ("stale", stale_epoch)]):
+            txid = TransactionId(timestamp=float(i + 1), uuid=f"t{i}")
+            storage_key = data_key(f"k{i}", txid)
+            record = CommitRecord(txid=txid, write_set={f"k{i}": storage_key}, node_id=node_id, epoch=epoch)
+            pendings.append(PendingCommit(txid=f"t{i}", record=record, data={storage_key: b"v"}))
+        committer = committer_cls(storage, store, max_txns=4)
+
+        with pytest.raises(FencedNodeError):
+            if committer_cls is GroupCommitter:
+                committer.commit_batch(pendings)
+            else:
+                asyncio.run(committer.commit_batch(pendings))
+
+        # The batch rule: nothing of the batch is written, every member fails.
+        assert storage.list_keys() == []
+        assert all(isinstance(pending.error, FencedNodeError) for pending in pendings)
+        assert committer.stats.flushes == 0

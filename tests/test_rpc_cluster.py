@@ -30,12 +30,16 @@ import pytest
 
 from repro.consistency.checker import AnomalyChecker, TransactionLog
 from repro.consistency.metadata import TaggedValue
+from repro.core.commit_set import CommitRecord
 from repro.errors import AftError, FencedNodeError, UnknownTransactionError
-from repro.ids import TransactionId
+from repro.ids import TransactionId, commit_record_key, data_key
+from repro.observability import metrics as om
 from repro.rpc import messages as m
 from repro.rpc.client import AsyncRouterClient
+from repro.rpc.framing import connect
 from repro.rpc.node_server import NodeServer
 from repro.rpc.router import RouterServer
+from repro.storage.base import StorageOp
 
 
 class SocketCluster:
@@ -274,6 +278,10 @@ class TestWireNegotiation:
     def test_binary_and_batching_negotiated_by_default(self):
         """With no settings at all, nodes speak binary frames and batch storage ops."""
 
+        # The router metrics registry is process-wide, so count this
+        # cluster's storage ops as the delta from before it started.
+        ops_before = om.registry("router").snapshot()["counters"].get("storage_ops", 0)
+
         async def scenario():
             async with SocketCluster(n_nodes=2) as cluster:
                 client = cluster.client
@@ -281,15 +289,61 @@ class TestWireNegotiation:
                     tx = await client.start_transaction()
                     await client.put(tx, f"neg:{i}", b"x" * 64)
                     await client.commit_transaction(tx)
-                for node in cluster.nodes:
-                    assert node.storage.supports_storage_batches
                 info = await client.info()
                 # Router-side counters prove ops actually crossed batched.
                 assert set(info.wire) == {"n0", "n1"}
                 for counters in info.wire.values():
                     assert counters["frames_in"] > 0 and counters["frames_out"] > 0
                     assert counters["bytes_in"] > 0 and counters["bytes_out"] > 0
-                assert sum(c["batched_ops_in"] for c in info.wire.values()) > 0
+                batched_in = sum(c["batched_ops_in"] for c in info.wire.values())
+                assert batched_in > 0
+                # Every storage op the router applied arrived in a batch frame.
+                storage_ops = info.metrics["counters"]["storage_ops"] - ops_before
+                assert storage_ops == batched_in
+
+        asyncio.run(scenario())
+
+
+class TestRouterStorageFencing:
+    def test_fenced_record_write_is_all_or_nothing_per_op(self):
+        """One frame: a fenced ``multi_put`` writes none of its keys; its
+        neighbour op still succeeds."""
+
+        async def scenario():
+            router = RouterServer(port=0)
+            await router.start()
+            try:
+                stale_epoch = router.fence.grant("n0").epoch
+                router.fence.revoke("n0")
+                txid = TransactionId(timestamp=1.0, uuid="late")
+                record = CommitRecord(
+                    txid=txid,
+                    write_set={"a": data_key("a", txid), "b": data_key("b", txid)},
+                    node_id="n0",
+                    epoch=stale_epoch,
+                )
+                fenced_items = {
+                    data_key("a", txid): b"data-a",
+                    data_key("b", txid): b"data-b",
+                    commit_record_key(txid): record.to_bytes(),
+                }
+                ops = [
+                    StorageOp(op="multi_put", keys=tuple(fenced_items), items=fenced_items),
+                    StorageOp(op="put", keys=("unrelated",), items={"unrelated": b"ok"}),
+                ]
+                conn = await connect("127.0.0.1", router.port)
+                try:
+                    reply = await conn.request(m.encode_storage_ops(ops))
+                finally:
+                    await conn.close()
+                fenced, unrelated = m.decode_storage_results(reply)
+                assert isinstance(fenced.error, FencedNodeError)
+                assert unrelated.error is None
+                assert router.storage.get("unrelated") == b"ok"
+                for key in fenced_items:
+                    assert router.storage.get(key) is None, key
+            finally:
+                await router.stop()
 
         asyncio.run(scenario())
 
